@@ -126,14 +126,13 @@ let mul_mag_int a m =
     normalize r
   end
 
+let limb_width v =
+  let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
+  width v 0
+
 let bit_length_mag mag =
   let n = Array.length mag in
-  if n = 0 then 0
-  else begin
-    let top = mag.(n - 1) in
-    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
-    ((n - 1) * limb_bits) + width top 0
-  end
+  if n = 0 then 0 else ((n - 1) * limb_bits) + limb_width mag.(n - 1)
 
 let test_bit_mag mag i =
   let limb = i / limb_bits and off = i mod limb_bits in
@@ -168,27 +167,6 @@ let shift_right_mag mag k =
     normalize r
   end
 
-(* Shift-and-subtract long division on magnitudes.  O(bits(a) * limbs), which
-   is fine for the cold paths that need general division (key generation,
-   conversions, tests); the hot modular path uses Montgomery reduction. *)
-let divmod_mag a b =
-  if Array.length b = 0 then raise Division_by_zero;
-  if cmp_mag a b < 0 then ([||], a)
-  else begin
-    let shift = bit_length_mag a - bit_length_mag b in
-    let q = Array.make (1 + (shift / limb_bits)) 0 in
-    let r = ref a in
-    let d = ref (shift_left_mag b shift) in
-    for i = shift downto 0 do
-      if cmp_mag !r !d >= 0 then begin
-        r := sub_mag !r !d;
-        q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
-      end;
-      d := shift_right_mag !d 1
-    done;
-    (normalize q, !r)
-  end
-
 let divmod_mag_int a m =
   (* m in (0, base). Returns (quotient mag, int remainder). *)
   if m <= 0 || m >= base then invalid_arg "Bigint.divmod_int: divisor out of range";
@@ -201,6 +179,89 @@ let divmod_mag_int a m =
     r := cur mod m
   done;
   (normalize q, !r)
+
+(* [mag * 2^s], 0 <= s < limb_bits, into exactly [len] limbs (the caller
+   guarantees the shifted value fits). *)
+let shl_limbs mag s len =
+  let r = Array.make len 0 in
+  let carry = ref 0 in
+  for i = 0 to Array.length mag - 1 do
+    let v = (mag.(i) lsl s) lor !carry in
+    r.(i) <- v land mask;
+    carry := v lsr limb_bits
+  done;
+  if !carry <> 0 then r.(Array.length mag) <- !carry;
+  r
+
+(* Long division on magnitudes: Knuth's Algorithm D (TAOCP vol. 2,
+   4.3.1), one quotient limb per step.  D1 shifts both operands left by
+   [s] so the divisor's top limb has bit 25 set; the two-limb estimate
+   [qhat] is then at most 2 too large, the [v.(n-2)] test removes all but
+   a rare excess of 1, and the add-back step (D6) repairs that one.
+   Bounds: the estimate's numerator is < 2^52; after the test
+   qhat < base, so qhat * v.(i) + carry < 2^52 + 2^27 < 2^53 and
+   qhat * v.(n-2) < 2^27 * 2^26 = 2^53 during the test itself. *)
+let divmod_mag a b =
+  let n = Array.length b in
+  if n = 0 then raise Division_by_zero;
+  if cmp_mag a b < 0 then ([||], a)
+  else if n = 1 then begin
+    let q, r = divmod_mag_int a b.(0) in
+    (q, if r = 0 then [||] else [| r |])
+  end
+  else begin
+    let la = Array.length a in
+    let s = limb_bits - limb_width b.(n - 1) in
+    let v = shl_limbs b s n in
+    let u = shl_limbs a s (la + 1) in
+    let m = la - n in
+    let q = Array.make (m + 1) 0 in
+    let vtop = v.(n - 1) and vnext = v.(n - 2) in
+    for j = m downto 0 do
+      let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+      let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+      let testing = ref true in
+      while !testing do
+        if !qhat >= base || !qhat * vnext > (!rhat lsl limb_bits) lor u.(j + n - 2) then begin
+          decr qhat;
+          rhat := !rhat + vtop;
+          testing := !rhat < base
+        end
+        else testing := false
+      done;
+      (* D4: u[j..j+n] -= qhat * v *)
+      let carry = ref 0 and borrow = ref 0 in
+      for i = 0 to n - 1 do
+        let p = (!qhat * v.(i)) + !carry in
+        carry := p lsr limb_bits;
+        let t = u.(i + j) - (p land mask) - !borrow in
+        if t < 0 then begin
+          u.(i + j) <- t + base;
+          borrow := 1
+        end
+        else begin
+          u.(i + j) <- t;
+          borrow := 0
+        end
+      done;
+      let top = u.(j + n) - !carry - !borrow in
+      if top >= 0 then u.(j + n) <- top
+      else begin
+        (* D6: qhat was one too large; add v back.  The window is then in
+           [0, v), so its top limb is zero and the final carry drops. *)
+        decr qhat;
+        let c = ref 0 in
+        for i = 0 to n - 1 do
+          let t = u.(i + j) + v.(i) + !c in
+          u.(i + j) <- t land mask;
+          c := t lsr limb_bits
+        done;
+        u.(j + n) <- 0
+      end;
+      q.(j) <- !qhat
+    done;
+    (normalize q, shift_right_mag (Array.sub u 0 n) s)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Signed layer                                                        *)
@@ -477,6 +538,26 @@ let invmod a m =
   let g, x, _ = egcd (erem a m) m in
   if equal g one then Some (erem x m) else None
 
+(* Jacobi symbol (a/n) for odd n > 0, by binary reciprocity: strip
+   factors of 2 from a, using (2/n) = -1 iff n = 3 or 5 (mod 8); then
+   swap a and n, flipping the sign iff both are 3 (mod 4), and reduce. *)
+let jacobi a n =
+  if n.sign <= 0 || is_even n then invalid_arg "Bigint.jacobi: modulus must be odd and positive";
+  let rec go a n acc =
+    (* 0 <= a < n, n odd *)
+    if a.sign = 0 then if equal n one then acc else 0
+    else begin
+      let z = ref 0 in
+      while not (test_bit a !z) do incr z done;
+      let a = shift_right a !z in
+      let n8 = n.mag.(0) land 7 in
+      let acc = if !z land 1 = 1 && (n8 = 3 || n8 = 5) then -acc else acc in
+      let acc = if a.mag.(0) land 3 = 3 && n8 land 3 = 3 then -acc else acc in
+      go (erem n a) a acc
+    end
+  in
+  go (erem a n) n 1
+
 (* Generic modular exponentiation by repeated squaring with division-based
    reduction; used only when the modulus is even (tests).  Odd moduli go
    through Montgomery (see below / Mont). *)
@@ -544,16 +625,11 @@ let mont_create m =
    reduces. *)
 let mont_reduce_out ctx dst t off =
   let len = ctx.len and m = ctx.m_mag in
-  let ge =
-    t.(off + len) > 0
-    ||
-    let rec cmp i =
-      if i < 0 then true
-      else if t.(off + i) <> m.(i) then t.(off + i) > m.(i)
-      else cmp (i - 1)
-    in
-    cmp (len - 1)
-  in
+  (* A loop, not a local recursive function: without flambda a closure
+     over [t], [off] and [m] would be allocated on every kernel call. *)
+  let i = ref (len - 1) in
+  while !i >= 0 && t.(off + !i) = m.(!i) do decr i done;
+  let ge = t.(off + len) > 0 || !i < 0 || t.(off + !i) > m.(!i) in
   if ge then begin
     let borrow = ref 0 in
     for i = 0 to len - 1 do
@@ -723,8 +799,7 @@ let mont_to_bigint ctx a =
   make 1 dst
 
 (* Binary square-and-multiply ladder over the in-place kernels; the
-   reference implementation the windowed ladder is checked against, and
-   the profitable choice for very short exponents. *)
+   reference implementation the windowed ladders are checked against. *)
 let mont_pow_elem_binary ctx bm e =
   let acc = Array.copy ctx.one_m in
   for i = bit_length e - 1 downto 0 do
@@ -738,55 +813,156 @@ let mont_pow_elem_binary ctx bm e =
 let mont_window_bits nbits =
   if nbits <= 8 then 1 else if nbits <= 24 then 2 else if nbits <= 96 then 3 else 4
 
-(* Sliding-window exponentiation with a precomputed odd-power table:
-   tbl.(k) = b^(2k+1) in Montgomery form.  Scanning MSB->LSB, maximal
-   windows that end on a set bit keep every table index odd, so the table
-   holds 2^(w-1) entries instead of 2^w.  Exactly the same squarings and
-   group elements as the binary ladder would produce — the result is
-   bit-identical, only the multiply count drops (~nbits/4 + 8 vs ~nbits/2
-   multiplies at 512-bit sizes). *)
-let mont_pow_elem ctx bm e =
-  let nbits = bit_length e in
-  let w = mont_window_bits nbits in
-  if w = 1 then mont_pow_elem_binary ctx bm e
-  else begin
-    let tbl = Array.make (1 lsl (w - 1)) [||] in
-    tbl.(0) <- bm;
+(* tbl.(k) = b^(2k+1) in Montgomery form, 2^(w-1) entries. *)
+let mont_odd_powers ctx bm w =
+  let tbl = Array.make (1 lsl (w - 1)) bm in
+  if w > 1 then begin
     let b2 = Array.make ctx.len 0 in
     mont_sqr_into ctx b2 bm;
     for k = 1 to Array.length tbl - 1 do
       let p = Array.make ctx.len 0 in
       mont_mul_into ctx p tbl.(k - 1) b2;
       tbl.(k) <- p
+    done
+  end;
+  tbl
+
+(* Sliding-window digit scan, the one window decomposition every windowed
+   ladder below uses.  Scanning MSB->LSB, the window that starts at set
+   bit [hi] is the widest [lo..hi] of at most [w] bits whose low bit [lo]
+   is set, so its value is odd and indexes the odd-power table (2^(w-1)
+   entries instead of 2^w).  A cursor holds the pending window; the
+   ladder squares once per bit and, at bit [lo], multiplies in the table
+   entry and moves the cursor to the next window.  Any decomposition
+   re-associates the same product, so results are bit-identical to the
+   binary ladder (fuzzed in test/t_fuzz.ml). *)
+type window_cursor = {
+  e : t;
+  w : int;
+  tbl : int array array;
+  mutable hi : int;  (* -1 once the exponent is exhausted *)
+  mutable lo : int;
+}
+
+let window_low e w hi =
+  let lo = ref (max 0 (hi - w + 1)) in
+  while not (test_bit e !lo) do incr lo done;
+  !lo
+
+let window_cursor ctx bm e =
+  let nbits = bit_length e in
+  let w = mont_window_bits nbits in
+  let hi = nbits - 1 in
+  {
+    e;
+    w;
+    tbl = (if nbits = 0 then [||] else mont_odd_powers ctx bm w);
+    hi;
+    lo = (if hi < 0 then -1 else window_low e w hi);
+  }
+
+let window_step ctx acc c i =
+  if i = c.lo then begin
+    let v = ref 0 in
+    for k = c.hi downto c.lo do
+      v := (!v lsl 1) lor if test_bit c.e k then 1 else 0
     done;
-    let acc = Array.copy ctx.one_m in
-    let i = ref (nbits - 1) in
-    while !i >= 0 do
-      if not (test_bit e !i) then begin
-        mont_sqr_into ctx acc acc;
-        decr i
-      end
-      else begin
-        (* widest window [j..i] with bit j set, at most w bits *)
-        let j = ref (max 0 (!i - w + 1)) in
-        while not (test_bit e !j) do incr j done;
-        let v = ref 0 in
-        for k = !i downto !j do
-          v := (!v lsl 1) lor (if test_bit e k then 1 else 0);
-          mont_sqr_into ctx acc acc
-        done;
-        mont_mul_into ctx acc acc tbl.((!v - 1) / 2);
-        i := !j - 1
-      end
-    done;
-    acc
+    mont_mul_into ctx acc acc c.tbl.((!v - 1) / 2);
+    let hi = ref (i - 1) in
+    while !hi >= 0 && not (test_bit c.e !hi) do decr hi done;
+    c.hi <- !hi;
+    c.lo <- (if !hi < 0 then -1 else window_low c.e c.w !hi)
   end
 
+(* Straus's simultaneous exponentiation: b1^e1 * b2^e2 with both
+   exponents' windows multiplied into one squaring chain, so the pair
+   costs max(bits) squarings instead of bits(e1) + bits(e2).  Allocates
+   the two odd-power tables, the cursors and the accumulator, none of it
+   per bit. *)
+let mont_pow2_elem ctx b1 e1 b2 e2 =
+  let c1 = window_cursor ctx b1 e1 and c2 = window_cursor ctx b2 e2 in
+  let acc = Array.copy ctx.one_m in
+  for i = max c1.hi c2.hi downto 0 do
+    mont_sqr_into ctx acc acc;
+    window_step ctx acc c1 i;
+    window_step ctx acc c2 i
+  done;
+  acc
+
+let mont_pow_elem ctx bm e = mont_pow2_elem ctx bm e bm zero
+
+(* Lim-Lee fixed-base comb with four rows.  An exponent of at most
+   4*cols bits is read as a 4 x cols bit matrix whose row r holds bits
+   [r*cols, (r+1)*cols); column k is the 4-bit index
+   sum_r bit(r*cols + k) << r.  With rows.(i) = prod_{r in i} b^(2^(r*cols))
+   we get b^e = prod_k rows.(column k)^(2^k): cols squarings and at most
+   cols multiplies, against ~bits squarings for a ladder.  The table costs
+   3*cols squarings and 11 multiplies once per base.  Two combs of equal
+   width share one squaring chain. *)
+type comb = { cols : int; rows : int array array }
+
+let comb_rows = 4
+
+let mont_comb ctx bm ~bits =
+  if bits < 1 then invalid_arg "Bigint.Mont.comb: bits must be positive";
+  let cols = (bits + comb_rows - 1) / comb_rows in
+  let rows = Array.make (1 lsl comb_rows) ctx.one_m in
+  rows.(1) <- bm;
+  for r = 1 to comb_rows - 1 do
+    let x = Array.copy rows.(1 lsl (r - 1)) in
+    for _ = 1 to cols do
+      mont_sqr_into ctx x x
+    done;
+    rows.(1 lsl r) <- x
+  done;
+  for i = 3 to Array.length rows - 1 do
+    let low = i land -i in
+    if low <> i then begin
+      let p = Array.make ctx.len 0 in
+      mont_mul_into ctx p rows.(i - low) rows.(low);
+      rows.(i) <- p
+    end
+  done;
+  { cols; rows }
+
+let comb_capacity c = comb_rows * c.cols
+
+let comb_column e cols k =
+  let d = ref 0 in
+  for r = comb_rows - 1 downto 0 do
+    d := (!d lsl 1) lor if test_bit e ((r * cols) + k) then 1 else 0
+  done;
+  !d
+
+let check_exponent fn e =
+  if e.sign < 0 then invalid_arg ("Bigint.Mont." ^ fn ^ ": negative exponent")
+
+let check_comb_exponent fn c e =
+  check_exponent fn e;
+  if bit_length e > comb_capacity c then
+    invalid_arg ("Bigint.Mont." ^ fn ^ ": exponent wider than the comb")
+
+let mont_comb_pow2 ctx c1 e1 c2 e2 =
+  check_comb_exponent "comb_pow2" c1 e1;
+  check_comb_exponent "comb_pow2" c2 e2;
+  if c1.cols <> c2.cols then invalid_arg "Bigint.Mont.comb_pow2: combs of different widths";
+  let cols = c1.cols in
+  let acc = Array.copy ctx.one_m in
+  for k = cols - 1 downto 0 do
+    mont_sqr_into ctx acc acc;
+    let d1 = comb_column e1 cols k and d2 = comb_column e2 cols k in
+    if d1 <> 0 then mont_mul_into ctx acc acc c1.rows.(d1);
+    if d2 <> 0 then mont_mul_into ctx acc acc c2.rows.(d2)
+  done;
+  acc
+
 let mont_pow ctx b e =
+  check_exponent "pow" e;
   if is_zero e then erem one ctx.m_big
   else mont_to_bigint ctx (mont_pow_elem ctx (mont_of_bigint ctx b) e)
 
 let mont_pow_binary ctx b e =
+  check_exponent "pow_binary" e;
   if is_zero e then erem one ctx.m_big
   else mont_to_bigint ctx (mont_pow_elem_binary ctx (mont_of_bigint ctx b) e)
 
@@ -822,8 +998,25 @@ module Mont = struct
   let elem_equal (a : elem) b = a = b
 
   let powm ctx bm e =
-    if is_zero e then Array.copy ctx.one_m else mont_pow_elem ctx bm e
+    check_exponent "powm" e;
+    mont_pow_elem ctx bm e
+
+  let pow2 ctx b1 e1 b2 e2 =
+    check_exponent "pow2" e1;
+    check_exponent "pow2" e2;
+    mont_pow2_elem ctx b1 e1 b2 e2
 
   let pow = mont_pow
   let pow_binary = mont_pow_binary
+
+  type nonrec comb = comb
+
+  let comb = mont_comb
+  let comb_capacity = comb_capacity
+
+  let comb_pow ctx c e =
+    check_comb_exponent "comb_pow" c e;
+    mont_comb_pow2 ctx c e c zero
+
+  let comb_pow2 = mont_comb_pow2
 end

@@ -116,6 +116,12 @@ val invmod : t -> t -> t option
 (** [invmod a m] is the inverse of [a] modulo [m] in [\[0, m)] when
     [gcd a m = 1]. *)
 
+val jacobi : t -> t -> int
+(** [jacobi a n] is the Jacobi symbol [(a/n)] in [{-1, 0, 1}] for odd
+    [n > 0]; for prime [n] it is the Legendre symbol, so
+    [jacobi x n = 1] exactly when [x] is a nonzero square mod [n].
+    @raise Invalid_argument if [n] is even or non-positive. *)
+
 (** {1 Montgomery arithmetic with a reusable context}
 
     Building the context performs the (division-heavy) precomputation once;
@@ -130,7 +136,12 @@ val invmod : t -> t -> t option
     computes each cross product once.  [pow] uses a sliding-window ladder
     with a precomputed odd-power table (window width adapted to the
     exponent size); [pow_binary] is the plain square-and-multiply ladder
-    kept as the differential reference. *)
+    kept as the differential reference.  [pow2] and the comb functions
+    serve fixed and repeated bases (the DLEQ VRF's [g], public keys and
+    per-proof [h]).
+
+    Every exponentiation takes a non-negative exponent and raises
+    [Invalid_argument] on a negative one. *)
 
 module Mont : sig
   type bigint := t
@@ -160,8 +171,35 @@ module Mont : sig
   (** [powm ctx b e] with [b] already in Montgomery form, [e >= 0];
       result stays in Montgomery form. *)
 
+  val pow2 : t -> elem -> bigint -> elem -> bigint -> elem
+  (** [pow2 ctx b1 e1 b2 e2] is [b1^e1 * b2^e2] by Straus's method: the
+      two exponents' sliding windows share one squaring chain. *)
+
   val pow : t -> bigint -> bigint -> bigint
   val pow_binary : t -> bigint -> bigint -> bigint
+
+  type comb
+  (** A four-row Lim-Lee fixed-base comb: 16 precomputed elements for one
+      base, serving every exponent of at most [comb_capacity] bits with
+      [comb_capacity / 4] squarings. *)
+
+  val comb : t -> elem -> bits:int -> comb
+  (** [comb ctx b ~bits] builds the table of [b] for exponents of up to
+      [bits] bits (rounded up to a multiple of 4).
+      @raise Invalid_argument if [bits < 1]. *)
+
+  val comb_capacity : comb -> int
+  (** The widest exponent the comb accepts, in bits. *)
+
+  val comb_pow : t -> comb -> bigint -> elem
+  (** [comb_pow ctx c e] is [b^e] for the comb's base [b].
+      @raise Invalid_argument if [e] is negative or wider than the comb. *)
+
+  val comb_pow2 : t -> comb -> bigint -> comb -> bigint -> elem
+  (** [comb_pow2 ctx c1 e1 c2 e2] is [b1^e1 * b2^e2] on one shared
+      squaring chain.
+      @raise Invalid_argument as [comb_pow], or if the two combs were
+      built for different widths. *)
 end
 
 (** {1 Pretty-printing} *)

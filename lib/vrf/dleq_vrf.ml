@@ -1,7 +1,9 @@
 open Bignum
 
-type secret = { x : Bigint.t; pk : Bigint.t }
-type public = Bigint.t
+(* The public key carries its comb so that every verification under it
+   runs at fixed-base cost. *)
+type public = { pk : Bigint.t; pk_comb : Group.comb }
+type secret = { x : Bigint.t; pub : public }
 type proof = { gamma : Bigint.t; c : Bigint.t; s : Bigint.t }
 
 let keygen grp ~random =
@@ -12,9 +14,11 @@ let keygen grp ~random =
     if Bigint.is_zero x then draw () else x
   in
   let x = draw () in
-  { x; pk = Group.pow grp (Group.g grp) x }
+  let pk = Group.comb_pow grp (Group.g_comb grp) x in
+  { x; pub = { pk; pk_comb = Group.comb grp pk } }
 
-let public_of_secret sk = sk.pk
+let public_of_secret sk = sk.pub
+let public_element pub = pub.pk
 
 let beta_of_gamma grp gamma = Crypto.Sha256.digest ("dleq-beta:" ^ Group.element_bytes grp gamma)
 
@@ -26,19 +30,21 @@ let challenge grp ~h ~pk ~gamma ~a ~b =
 let prove grp sk alpha =
   let q = Group.q grp in
   let h = Group.hash_to_group grp alpha in
-  let gamma = Group.pow grp h sk.x in
+  (* One comb for h serves both gamma = h^x and the nonce power h^k. *)
+  let h_comb = Group.comb grp h in
+  let gamma = Group.comb_pow grp h_comb sk.x in
   (* Deterministic nonce (RFC 6979 flavour): k = H(x, h). *)
   let k =
     Group.hash_to_scalar grp
       ("nonce:" ^ Group.scalar_bytes grp sk.x ^ Group.element_bytes grp h)
   in
-  let a = Group.pow grp (Group.g grp) k in
-  let b = Group.pow grp h k in
-  let c = challenge grp ~h ~pk:sk.pk ~gamma ~a ~b in
+  let a = Group.comb_pow grp (Group.g_comb grp) k in
+  let b = Group.comb_pow grp h_comb k in
+  let c = challenge grp ~h ~pk:sk.pub.pk ~gamma ~a ~b in
   let s = Bigint.erem (Bigint.sub k (Bigint.mul c sk.x)) q in
   (beta_of_gamma grp gamma, { gamma; c; s })
 
-let verify grp pk alpha (beta, { gamma; c; s }) =
+let verify grp { pk; pk_comb } alpha (beta, { gamma; c; s }) =
   Group.is_element grp gamma
   && Bigint.sign c >= 0
   && Bigint.compare c (Group.q grp) < 0
@@ -47,8 +53,8 @@ let verify grp pk alpha (beta, { gamma; c; s }) =
   &&
   let h = Group.hash_to_group grp alpha in
   (* a' = g^s pk^c, b' = h^s gamma^c; accept iff c = H(..., a', b'). *)
-  let a' = Group.mul grp (Group.pow grp (Group.g grp) s) (Group.pow grp pk c) in
-  let b' = Group.mul grp (Group.pow grp h s) (Group.pow grp gamma c) in
+  let a' = Group.comb_pow2 grp (Group.g_comb grp) s pk_comb c in
+  let b' = Group.pow2 grp h s gamma c in
   Bigint.equal c (challenge grp ~h ~pk ~gamma ~a:a' ~b:b')
   && String.equal beta (beta_of_gamma grp gamma)
 
@@ -65,12 +71,12 @@ let sign grp sk msg =
   let k =
     Group.hash_to_scalar grp ("sig-nonce:" ^ Group.scalar_bytes grp sk.x ^ msg)
   in
-  let a = Group.pow grp (Group.g grp) k in
-  let c = sig_challenge grp ~pk:sk.pk ~a msg in
+  let a = Group.comb_pow grp (Group.g_comb grp) k in
+  let c = sig_challenge grp ~pk:sk.pub.pk ~a msg in
   let s = Bigint.erem (Bigint.sub k (Bigint.mul c sk.x)) q in
   Group.scalar_bytes grp c ^ Group.scalar_bytes grp s
 
-let verify_sig grp pk msg raw =
+let verify_sig grp { pk; pk_comb } msg raw =
   let qb = String.length (Group.scalar_bytes grp Bigint.one) in
   String.length raw = 2 * qb
   &&
@@ -80,7 +86,7 @@ let verify_sig grp pk msg raw =
   && Bigint.compare s (Group.q grp) < 0
   &&
   (* a' = g^s pk^c; accept iff c = H'(pk, a', msg). *)
-  let a' = Group.mul grp (Group.pow grp (Group.g grp) s) (Group.pow grp pk c) in
+  let a' = Group.comb_pow2 grp (Group.g_comb grp) s pk_comb c in
   Bigint.equal c (sig_challenge grp ~pk ~a:a' msg)
 
 let proof_of_bytes grp raw =

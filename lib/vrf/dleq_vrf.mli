@@ -15,8 +15,9 @@
 
 type secret
 
-type public = Bignum.Bigint.t
-(** [g^x]. *)
+type public
+(** [g^x], with its fixed-base comb (16 group elements) built at
+    {!keygen}. *)
 
 type proof = {
   gamma : Bignum.Bigint.t;
@@ -26,6 +27,9 @@ type proof = {
 
 val keygen : Group.t -> random:(int -> string) -> secret
 val public_of_secret : secret -> public
+
+val public_element : public -> Bignum.Bigint.t
+(** The group element [g^x]. *)
 
 val prove : Group.t -> secret -> string -> string * proof
 (** [prove grp sk alpha] is [(beta, pi)]; [beta] is 32 bytes. *)

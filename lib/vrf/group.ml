@@ -1,10 +1,13 @@
 open Bignum
 
+type comb = Bigint.Mont.comb
+
 type t = {
   p : Bigint.t;
   q : Bigint.t;
   g : Bigint.t;
   mont : Bigint.Mont.t;  (* reduction context for the hot exponentiations *)
+  g_comb : comb;
   p_bytes : int;
   q_bytes : int;
 }
@@ -12,13 +15,18 @@ type t = {
 let p t = t.p
 let q t = t.q
 let g t = t.g
+let g_comb t = t.g_comb
 
 let pow t base e = Bigint.Mont.pow t.mont base e
 
-(* One Montgomery round-trip (4 multiply kernels) beats the full product
-   plus shift-and-subtract division of [erem (mul a b) p]. *)
-let mul t a b =
-  Bigint.Mont.(of_mont t.mont (mul t.mont (to_mont t.mont a) (to_mont t.mont b)))
+let pow2 t b1 e1 b2 e2 =
+  Bigint.Mont.(of_mont t.mont (pow2 t.mont (to_mont t.mont b1) e1 (to_mont t.mont b2) e2))
+
+(* Exponents are scalars, so every comb is as wide as q. *)
+let make_comb mont q x = Bigint.Mont.(comb mont (to_mont mont x) ~bits:(Bigint.bit_length q))
+let comb t x = make_comb t.mont t.q x
+let comb_pow t c e = Bigint.Mont.(of_mont t.mont (comb_pow t.mont c e))
+let comb_pow2 t c1 e1 c2 e2 = Bigint.Mont.(of_mont t.mont (comb_pow2 t.mont c1 e1 c2 e2))
 
 let generate ?(qbits = 160) ~seed () =
   if qbits < 32 then invalid_arg "Group.generate: qbits too small";
@@ -46,15 +54,20 @@ let generate ?(qbits = 160) ~seed () =
     q;
     g;
     mont;
+    g_comb = make_comb mont q g;
     p_bytes = (Bigint.bit_length p + 7) / 8;
     q_bytes = (Bigint.bit_length q + 7) / 8;
   }
 
+(* For prime p = 2q + 1 the order-q subgroup is exactly the quadratic
+   residues, and Euler's criterion x^q = (x/p) mod p makes the Legendre
+   symbol test equal to [x^q = 1] for every 0 < x < p, at a fraction of
+   an exponentiation's cost. *)
 let is_element t x =
   Bigint.sign x > 0
   && Bigint.compare x t.p < 0
   && (not (Bigint.equal x Bigint.one))
-  && Bigint.equal (pow t x t.q) Bigint.one
+  && Int.equal (Bigint.jacobi x t.p) 1
 
 let element_bytes t x = Bigint.to_bytes_be ~len:t.p_bytes x
 let scalar_bytes t x = Bigint.to_bytes_be ~len:t.q_bytes x

@@ -22,8 +22,33 @@ val g : t -> Bignum.Bigint.t
 val pow : t -> Bignum.Bigint.t -> Bignum.Bigint.t -> Bignum.Bigint.t
 (** [pow t base e] is [base^e mod p] (Montgomery-accelerated). *)
 
-val mul : t -> Bignum.Bigint.t -> Bignum.Bigint.t -> Bignum.Bigint.t
-(** Product mod [p]. *)
+val pow2 :
+  t -> Bignum.Bigint.t -> Bignum.Bigint.t -> Bignum.Bigint.t -> Bignum.Bigint.t -> Bignum.Bigint.t
+(** [pow2 t b1 e1 b2 e2] is [b1^e1 * b2^e2 mod p] on one squaring chain
+    (Straus). *)
+
+(** {1 Fixed-base combs}
+
+    A comb precomputes 16 elements of one base so that every later
+    exponentiation of that base costs a quarter of the squarings.  Combs
+    take scalar exponents in [\[0, 2^k)] where [k] is [q]'s bit length
+    rounded up to a multiple of 4. *)
+
+type comb
+
+val comb : t -> Bignum.Bigint.t -> comb
+(** Builds the comb of an element. *)
+
+val g_comb : t -> comb
+(** The generator's comb, built by {!generate}. *)
+
+val comb_pow : t -> comb -> Bignum.Bigint.t -> Bignum.Bigint.t
+(** [comb_pow t c e] is [b^e mod p] for the comb's base [b].
+    @raise Invalid_argument on a negative or over-wide exponent. *)
+
+val comb_pow2 : t -> comb -> Bignum.Bigint.t -> comb -> Bignum.Bigint.t -> Bignum.Bigint.t
+(** [comb_pow2 t c1 e1 c2 e2] is [b1^e1 * b2^e2 mod p] on one shared
+    squaring chain. *)
 
 val is_element : t -> Bignum.Bigint.t -> bool
 (** Member of the order-[q] subgroup (and not the identity). *)

@@ -229,5 +229,5 @@ module Keyring = struct
     | Rsa_key { secret; _ } -> Rsa.fingerprint (Rsa.public_of_secret secret)
     | Dleq_key { public; _ } ->
         let grp = (match t.group with Some g -> g | None -> assert false) in
-        Crypto.Sha256.digest ("dleq-fp" ^ Group.element_bytes grp public)
+        Crypto.Sha256.digest ("dleq-fp" ^ Group.element_bytes grp (Dleq_vrf.public_element public))
 end

@@ -185,6 +185,90 @@ let test_mont_rejects_even () =
   Alcotest.check_raises "even modulus" (Invalid_argument "Bigint: Montgomery requires odd modulus")
     (fun () -> ignore (Bigint.Mont.create (bi 10)))
 
+let test_mont_rejects_negative_exponent () =
+  (* Every Mont entry point reads the exponent's magnitude, so a negative
+     exponent must be refused rather than silently treated as |e|. *)
+  let m = Bigint.of_hex "f123456789abcdef123456789abcdef1" in
+  let ctx = Bigint.Mont.create m in
+  let b = Bigint.Mont.to_mont ctx (bi 2) in
+  let c = Bigint.Mont.comb ctx b ~bits:16 in
+  let e = bi 5 and ne = bi (-5) in
+  let rejects fn f =
+    Alcotest.check_raises fn (Invalid_argument ("Bigint.Mont." ^ fn ^ ": negative exponent"))
+      (fun () -> ignore (f ()))
+  in
+  rejects "pow" (fun () -> Bigint.Mont.pow ctx (bi 2) ne);
+  rejects "pow_binary" (fun () -> Bigint.Mont.pow_binary ctx (bi 2) ne);
+  rejects "powm" (fun () -> Bigint.Mont.powm ctx b ne);
+  rejects "pow2" (fun () -> Bigint.Mont.pow2 ctx b ne b e);
+  rejects "pow2" (fun () -> Bigint.Mont.pow2 ctx b e b ne);
+  rejects "comb_pow" (fun () -> Bigint.Mont.comb_pow ctx c ne);
+  rejects "comb_pow2" (fun () -> Bigint.Mont.comb_pow2 ctx c ne c e);
+  rejects "comb_pow2" (fun () -> Bigint.Mont.comb_pow2 ctx c e c ne);
+  Alcotest.check_raises "modpow" (Invalid_argument "Bigint.modpow: negative exponent") (fun () ->
+      ignore (Bigint.modpow (bi 2) ne m))
+
+let test_comb_width () =
+  let m = Bigint.of_hex "f123456789abcdef123456789abcdef1" in
+  let ctx = Bigint.Mont.create m in
+  let b = Bigint.Mont.to_mont ctx (bi 3) in
+  (* 7 bits round up to two columns of four rows *)
+  let c = Bigint.Mont.comb ctx b ~bits:7 in
+  Alcotest.(check int) "capacity" 8 (Bigint.Mont.comb_capacity c);
+  Alcotest.check beq "widest exponent accepted"
+    (Bigint.Mont.pow ctx (bi 3) (bi 255))
+    (Bigint.Mont.of_mont ctx (Bigint.Mont.comb_pow ctx c (bi 255)));
+  let wide = "Bigint.Mont.comb_pow: exponent wider than the comb" in
+  Alcotest.check_raises "2^capacity rejected" (Invalid_argument wide) (fun () ->
+      ignore (Bigint.Mont.comb_pow ctx c (bi 256)));
+  Alcotest.check_raises "two-base: either exponent"
+    (Invalid_argument "Bigint.Mont.comb_pow2: exponent wider than the comb") (fun () ->
+      ignore (Bigint.Mont.comb_pow2 ctx c (bi 1) c (bi 256)));
+  Alcotest.check_raises "two-base: unequal widths"
+    (Invalid_argument "Bigint.Mont.comb_pow2: combs of different widths") (fun () ->
+      ignore (Bigint.Mont.comb_pow2 ctx c (bi 1) (Bigint.Mont.comb ctx b ~bits:16) (bi 1)));
+  Alcotest.check_raises "zero bits" (Invalid_argument "Bigint.Mont.comb: bits must be positive")
+    (fun () -> ignore (Bigint.Mont.comb ctx b ~bits:0))
+
+let test_powm_allocation () =
+  (* The kernels write into preallocated limbs, so a warm powm allocates
+     its odd-power table, scan cursor and accumulator and nothing per
+     bit.  Both exponents pick window width 4, so the allocation must not
+     grow from 200 to 2000 bits. *)
+  let d = Crypto.Drbg.create "powm-alloc" in
+  let random n = Crypto.Drbg.generate d n in
+  let m = Bigint.succ (Bigint.shift_left (Bigint.of_bytes_be (random 63)) 1) in
+  let ctx = Bigint.Mont.create m in
+  let b = Bigint.Mont.to_mont ctx (Bigint.of_bytes_be (random 40)) in
+  let exponent bits =
+    Bigint.add (Bigint.shift_left Bigint.one (bits - 1))
+      (Bigint.shift_right (Bigint.of_bytes_be (random (bits / 8))) 1)
+  in
+  let words e =
+    ignore (Bigint.Mont.powm ctx b e);
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Bigint.Mont.powm ctx b e));
+    Gc.minor_words () -. w0
+  in
+  let e200 = exponent 200 and e2000 = exponent 2000 in
+  Alcotest.(check int) "200-bit exponent" 200 (Bigint.bit_length e200);
+  Alcotest.(check int) "2000-bit exponent" 2000 (Bigint.bit_length e2000);
+  Alcotest.(check (float 0.)) "minor words independent of exponent size" (words e200)
+    (words e2000)
+
+let test_jacobi_known () =
+  (* (a/15) = (a/3)(a/5) *)
+  List.iter
+    (fun (a, j) -> Alcotest.(check int) (Printf.sprintf "(%d/15)" a) j (Bigint.jacobi (bi a) (bi 15)))
+    [ (0, 0); (1, 1); (2, 1); (4, 1); (5, 0); (7, -1); (-1, -1); (14, -1); (13, -1) ];
+  Alcotest.(check int) "(2/p), p = 2^61-1 = 7 mod 8" 1
+    (Bigint.jacobi Bigint.two (Bigint.pred (Bigint.shift_left Bigint.one 61)));
+  Alcotest.(check int) "(-1/p), p = 2^127-1 = 3 mod 4" (-1)
+    (Bigint.jacobi (bi (-1)) (Bigint.pred (Bigint.shift_left Bigint.one 127)));
+  Alcotest.check_raises "even modulus"
+    (Invalid_argument "Bigint.jacobi: modulus must be odd and positive") (fun () ->
+      ignore (Bigint.jacobi (bi 3) (bi 10)))
+
 let test_compare_total_order () =
   let vals = [ bi (-10); bi (-1); Bigint.zero; Bigint.one; bi 10; Bigint.shift_left Bigint.one 80 ] in
   List.iteri
@@ -324,6 +408,10 @@ let suite =
     Alcotest.test_case "invmod" `Quick test_invmod;
     Alcotest.test_case "mont = generic" `Quick test_mont_matches_generic;
     Alcotest.test_case "mont rejects even" `Quick test_mont_rejects_even;
+    Alcotest.test_case "mont rejects negative exponent" `Quick test_mont_rejects_negative_exponent;
+    Alcotest.test_case "comb width" `Quick test_comb_width;
+    Alcotest.test_case "powm allocation" `Quick test_powm_allocation;
+    Alcotest.test_case "jacobi known" `Quick test_jacobi_known;
     Alcotest.test_case "compare total order" `Quick test_compare_total_order;
     Alcotest.test_case "decimal known" `Quick test_decimal_known;
     Alcotest.test_case "decimal errors" `Quick test_decimal_errors;

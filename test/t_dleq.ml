@@ -138,6 +138,29 @@ let test_beta_uniform_lsb () =
   Alcotest.(check bool) (Printf.sprintf "lsb balanced (%d/200)" !ones) true
     (!ones > 70 && !ones < 130)
 
+(* SHA-256 over the public key and a batch of fixed-seed outputs, frozen
+   from the ladder-only kernel (shift-and-subtract division, one windowed
+   exponentiation per power).  Proof and signature bytes are a function
+   of the key and the input alone, so the fixed-base and Straus paths
+   must reproduce them bit for bit. *)
+let digest_hex parts = Crypto.Hex.encode (Crypto.Sha256.digest (String.concat "" parts))
+
+let test_golden_digests () =
+  let g = Lazy.force grp in
+  let sk = Lazy.force keypair in
+  let pk = Vrf.Group.element_bytes g (Vrf.Dleq_vrf.(public_element (public_of_secret sk))) in
+  let proofs =
+    List.init 32 (fun i ->
+        let beta, pi = Vrf.Dleq_vrf.prove g sk (Printf.sprintf "golden-%d" i) in
+        beta ^ Vrf.Dleq_vrf.proof_to_bytes g pi)
+  in
+  let sigs = List.init 32 (fun i -> Vrf.Dleq_vrf.sign g sk (Printf.sprintf "golden-%d" i)) in
+  Alcotest.(check string) "32 DLEQ proofs"
+    "b2fc45ed3aed036ba1900c3c444ac0beccca1378831d54677a17331c8bcf3d2d"
+    (digest_hex (pk :: proofs));
+  Alcotest.(check string) "32 Schnorr signatures"
+    "7ce39b54cf0481a45c81efd8a479779bb173150c0e5010f08606091f606a4f26" (digest_hex sigs)
+
 (* ---------------- keyring integration ---------------- *)
 
 let keyring = lazy (Vrf.Keyring.create ~backend:(Vrf.Dleq { qbits }) ~n:6 ~seed:"dleq-kr" ())
@@ -190,6 +213,7 @@ let suite =
     Alcotest.test_case "proof bytes roundtrip" `Quick test_proof_bytes_roundtrip;
     Alcotest.test_case "proof bytes bad length" `Quick test_proof_bytes_bad_length;
     Alcotest.test_case "schnorr signature" `Quick test_schnorr_signature;
+    Alcotest.test_case "golden digests" `Quick test_golden_digests;
     Alcotest.test_case "beta lsb balanced" `Slow test_beta_uniform_lsb;
     Alcotest.test_case "keyring prove/verify" `Quick test_keyring_prove_verify;
     Alcotest.test_case "keyring sign" `Quick test_keyring_sign;

@@ -233,6 +233,166 @@ let fuzz_mont_sqr_vs_mul =
       let x = Bigint.Mont.to_mont ctx b in
       Bigint.Mont.elem_equal (Bigint.Mont.sqr ctx x) (Bigint.Mont.mul ctx x x))
 
+let fuzz_mont_pow2 =
+  QCheck.Test.make ~name:"fuzz: Mont.pow2 b1 e1 b2 e2 = pow b1 e1 * pow b2 e2" ~count:120
+    QCheck.(pair arb_kernel_case arb_kernel_case)
+    (fun ((m, b1, e1), (_, b2, e2)) ->
+      let open Bignum in
+      let ctx = Bigint.Mont.create m in
+      let got =
+        Bigint.Mont.(of_mont ctx (pow2 ctx (to_mont ctx b1) e1 (to_mont ctx b2) e2))
+      in
+      Bigint.equal got
+        (Bigint.erem (Bigint.mul (Bigint.Mont.pow ctx b1 e1) (Bigint.Mont.pow ctx b2 e2)) m))
+
+(* A comb built for [bits]-bit scalars below some q must agree with the
+   ladder on the exponents at the edges of its capacity: 0, 1, q-1 and
+   2^capacity-1 (every column index 15), plus one random exponent. *)
+let gen_comb_case =
+  QCheck.Gen.(
+    let* m, b1, _ = gen_kernel_case in
+    let* _, b2, _ = gen_kernel_case in
+    let* qbits = 1 -- 200 in
+    let* qs = string_size ~gen:char (return ((qbits + 7) / 8)) in
+    let* es = string_size ~gen:char (return ((qbits + 10) / 8)) in
+    let open Bignum in
+    let top = Bigint.shift_left Bigint.one (qbits - 1) in
+    let q = Bigint.add top (Bigint.erem (Bigint.of_bytes_be qs) top) in
+    return (m, b1, b2, q, Bigint.of_bytes_be es))
+
+let print_comb_case (m, b1, b2, q, e) =
+  Printf.sprintf "{m=%s b1=%s b2=%s q=%s e=%s}" (Bignum.Bigint.to_hex m) (Bignum.Bigint.to_hex b1)
+    (Bignum.Bigint.to_hex b2) (Bignum.Bigint.to_hex q) (Bignum.Bigint.to_hex e)
+
+let fuzz_comb_vs_pow =
+  QCheck.Test.make ~name:"fuzz: one- and two-base comb = pow" ~count:60
+    (QCheck.make ~print:print_comb_case gen_comb_case)
+    (fun (m, b1, b2, q, e) ->
+      let open Bignum in
+      let ctx = Bigint.Mont.create m in
+      let bits = Bigint.bit_length q in
+      let c1 = Bigint.Mont.comb ctx (Bigint.Mont.to_mont ctx b1) ~bits in
+      let c2 = Bigint.Mont.comb ctx (Bigint.Mont.to_mont ctx b2) ~bits in
+      let cap = Bigint.Mont.comb_capacity c1 in
+      let full = Bigint.pred (Bigint.shift_left Bigint.one cap) in
+      let es = [ Bigint.zero; Bigint.one; Bigint.pred q; full; Bigint.erem e (Bigint.succ full) ] in
+      cap >= bits
+      && cap < bits + 4
+      && List.for_all
+           (fun e1 ->
+             Bigint.equal
+               (Bigint.Mont.of_mont ctx (Bigint.Mont.comb_pow ctx c1 e1))
+               (Bigint.Mont.pow ctx b1 e1)
+             && List.for_all
+                  (fun e2 ->
+                    Bigint.equal
+                      (Bigint.Mont.of_mont ctx (Bigint.Mont.comb_pow2 ctx c1 e1 c2 e2))
+                      (Bigint.erem
+                         (Bigint.mul (Bigint.Mont.pow ctx b1 e1) (Bigint.Mont.pow ctx b2 e2))
+                         m))
+                  es)
+           es)
+
+(* ------------- Euler's criterion: Jacobi symbol vs exponentiation ------------- *)
+
+(* For prime p, jacobi x p = 1 exactly when x^((p-1)/2) = 1; with
+   p = 2q + 1 that exponent is q, which is the subgroup-membership test
+   Group.is_element replaced.  Checked on safe primes (the DLEQ groups'
+   shape) and on plain primes, for random x and for 1, p-1 and small
+   values, among which p-1 is always a non-residue when p = 3 (mod 4). *)
+let safe_primes =
+  lazy
+    (List.map
+       (fun (qbits, seed) -> Vrf.Group.p (Vrf.Group.generate ~qbits ~seed ()))
+       [ (32, "jacobi-32"); (64, "jacobi-64"); (96, "jacobi-96") ])
+
+let fuzz_jacobi_euler =
+  QCheck.Test.make ~name:"fuzz: jacobi x p = 1 iff x^((p-1)/2) = 1" ~count:40
+    QCheck.(triple (int_range 8 200) small_int (string_of_size (Gen.return 32)))
+    (fun (bits, seed, xs) ->
+      let open Bignum in
+      let d = Crypto.Drbg.create (Printf.sprintf "jacobi-%d-%d" bits seed) in
+      let plain = Prime.gen_prime ~bits ~random:(Crypto.Drbg.generate d) in
+      List.for_all
+        (fun p ->
+          let h = Bigint.shift_right p 1 in
+          let x = Bigint.erem (Bigint.of_bytes_be xs) p in
+          let xs =
+            [ x; Bigint.one; Bigint.pred p ]
+            @ List.map Bigint.of_int [ 2; 3; 5; 6; 7; 10; 11; 13 ]
+          in
+          List.for_all
+            (fun x ->
+              Bigint.is_zero (Bigint.erem x p)
+              || Bool.equal
+                   (Int.equal (Bigint.jacobi x p) 1)
+                   (Bigint.equal (Bigint.Mont.pow (Bigint.Mont.create p) x h) Bigint.one))
+            xs)
+        (plain :: Lazy.force safe_primes))
+
+(* ------------- long division (Knuth's Algorithm D) ------------- *)
+
+(* A value of exactly [limbs] 26-bit limbs.  The top limb is 1 (the
+   largest normalisation shift, 25), 2^26-1 (none) or random. *)
+let gen_limbs limbs =
+  QCheck.Gen.(
+    let* top = oneof [ return 1; return ((1 lsl 26) - 1); 1 -- ((1 lsl 26) - 1) ] in
+    let* low = string_size ~gen:char (return (((limbs - 1) * 26 / 8) + 1)) in
+    let open Bignum in
+    let shift = 26 * (limbs - 1) in
+    let low = Bigint.shift_right (Bigint.of_bytes_be low) ((8 * String.length low) - shift) in
+    return (Bigint.add (Bigint.shift_left (Bigint.of_int top) shift) low))
+
+let gen_division =
+  QCheck.Gen.(
+    let* la = 1 -- 40 in
+    let* lb = 1 -- 40 in
+    let* a = gen_limbs la in
+    let* b = gen_limbs lb in
+    let* sa = bool in
+    let* sb = bool in
+    let open Bignum in
+    return ((if sa then Bigint.neg a else a), if sb then Bigint.neg b else b))
+
+let division_law a b =
+  let open Bignum in
+  let q, r = Bigint.divmod a b in
+  let e = Bigint.erem a b in
+  Bigint.equal a (Bigint.add (Bigint.mul q b) r)
+  && Bigint.compare (Bigint.abs r) (Bigint.abs b) < 0
+  && (Bigint.is_zero r || Int.equal (Bigint.sign r) (Bigint.sign a))
+  && Bigint.sign e >= 0
+  && Bigint.compare e (Bigint.abs b) < 0
+  && Bigint.is_zero (Bigint.rem (Bigint.sub a e) b)
+
+let fuzz_division =
+  QCheck.Test.make ~name:"fuzz: a = q*b + r, |r| < |b|, 1-40 limb operands" ~count:300
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Printf.sprintf "{a=%s b=%s}" (Bignum.Bigint.to_hex a) (Bignum.Bigint.to_hex b))
+       gen_division)
+    (fun (a, b) -> division_law a b)
+
+let test_division_edges () =
+  let open Bignum in
+  let pow2 k = Bigint.shift_left Bigint.one k in
+  let check name a b = Alcotest.(check bool) name true (division_law a b) in
+  let big = Bigint.pred (pow2 (26 * 9)) in
+  check "single-limb divisor" big (Bigint.of_int 12345);
+  check "single-limb divisor 2^26-1" big (Bigint.of_int ((1 lsl 26) - 1));
+  check "top limb 1 (shift 25)" big (Bigint.succ (pow2 (26 * 3)));
+  check "top limb 1, negative" (Bigint.neg big) (Bigint.add (pow2 52) (Bigint.of_int 7));
+  check "divisor = dividend" big big;
+  check "divisor > dividend" big (Bigint.succ big);
+  (* 2^103 / (2^77 + 1): the divisor's top limb is 2^25, so no shift, and
+     the first two-limb estimate qhat = 1 passes the v[n-2] test but
+     overshoots by one; step D6 adds the divisor back. *)
+  let a = pow2 103 and b = Bigint.succ (pow2 77) in
+  let q, r = Bigint.divmod a b in
+  let beq = Alcotest.testable (Fmt.of_to_string Bigint.to_hex) Bigint.equal in
+  Alcotest.check beq "add-back quotient" (Bigint.of_int ((1 lsl 26) - 1)) q;
+  Alcotest.check beq "add-back remainder" (Bigint.succ (Bigint.sub (pow2 77) (pow2 26))) r
+
 let fuzz_crt_sign_vs_plain =
   (* Small keys keep keygen cheap; CRT vs plain must agree byte for byte
      on every (key, message) pair because RSA is a permutation. *)
@@ -255,4 +415,9 @@ let suite =
     QCheck_alcotest.to_alcotest fuzz_mont_window_vs_binary;
     QCheck_alcotest.to_alcotest fuzz_mont_sqr_vs_mul;
     QCheck_alcotest.to_alcotest fuzz_crt_sign_vs_plain;
+    QCheck_alcotest.to_alcotest fuzz_mont_pow2;
+    QCheck_alcotest.to_alcotest fuzz_comb_vs_pow;
+    QCheck_alcotest.to_alcotest fuzz_jacobi_euler;
+    QCheck_alcotest.to_alcotest fuzz_division;
+    Alcotest.test_case "division edge cases" `Quick test_division_edges;
   ]

@@ -144,6 +144,20 @@ let test_fingerprint_distinct () =
   Alcotest.(check bool) "fingerprints differ" true
     (Rsa.fingerprint (Rsa.public_of_secret sk) <> Rsa.fingerprint (Rsa.public_of_secret sk2))
 
+let test_golden_digest () =
+  (* SHA-256 over a 512-bit key's fingerprint and 32 signatures, frozen
+     from the shift-and-subtract division kernel: keygen (trial division,
+     Miller-Rabin, CRT precomputation) and CRT signing both divide, and
+     their output must not move. *)
+  let sk = Rsa.keygen ~bits:512 ~random:(drbg_random "rsa-golden") in
+  let parts =
+    Rsa.fingerprint (Rsa.public_of_secret sk)
+    :: List.init 32 (fun i -> Rsa.sign sk (Printf.sprintf "golden-%d" i))
+  in
+  Alcotest.(check string) "32 RSA signatures"
+    "40f062a32fbbeaeee495fca3474cd04738d5839c2b364e675fc36fe461a5387c"
+    (Crypto.Hex.encode (Crypto.Sha256.digest (String.concat "" parts)))
+
 let qcheck_sign_verify =
   QCheck.Test.make ~name:"qcheck: rsa sign/verify roundtrip" ~count:40 QCheck.small_string
     (fun msg ->
@@ -178,6 +192,7 @@ let suite =
     Alcotest.test_case "fdh below modulus" `Quick test_fdh_below_modulus;
     Alcotest.test_case "keygen arg check" `Quick test_keygen_rejects_bad_bits;
     Alcotest.test_case "fingerprint distinct" `Quick test_fingerprint_distinct;
+    Alcotest.test_case "golden digest" `Quick test_golden_digest;
     QCheck_alcotest.to_alcotest qcheck_sign_verify;
     QCheck_alcotest.to_alcotest qcheck_cross_message;
   ]
