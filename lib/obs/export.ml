@@ -17,12 +17,17 @@ let jsonl_to_string values =
   Buffer.contents buf
 
 let trace_jsonl ?(run = 0) trace =
+  (* Members that every record of one kind shares are built once per call. *)
+  let run = ("run", Json.Int run) in
+  let ev_send = ("ev", Json.Str "send")
+  and ev_deliver = ("ev", Json.Str "deliver")
+  and ev_corrupt = ("ev", Json.Str "corrupt") in
   let record = function
     | Sim.Trace.Sent { step; id; src; dst; depth; words } ->
         Json.Obj
           [
-            ("ev", Json.Str "send");
-            ("run", Json.Int run);
+            ev_send;
+            run;
             ("step", Json.Int step);
             ("id", Json.Int id);
             ("src", Json.Int src);
@@ -33,8 +38,8 @@ let trace_jsonl ?(run = 0) trace =
     | Sim.Trace.Delivered { step; id; src; dst; depth } ->
         Json.Obj
           [
-            ("ev", Json.Str "deliver");
-            ("run", Json.Int run);
+            ev_deliver;
+            run;
             ("step", Json.Int step);
             ("id", Json.Int id);
             ("src", Json.Int src);
@@ -42,13 +47,7 @@ let trace_jsonl ?(run = 0) trace =
             ("depth", Json.Int depth);
           ]
     | Sim.Trace.Corrupted { step; pid } ->
-        Json.Obj
-          [
-            ("ev", Json.Str "corrupt");
-            ("run", Json.Int run);
-            ("step", Json.Int step);
-            ("pid", Json.Int pid);
-          ]
+        Json.Obj [ ev_corrupt; run; ("step", Json.Int step); ("pid", Json.Int pid) ]
   in
   List.rev (Sim.Trace.fold trace ~init:[] ~f:(fun acc e -> record e :: acc))
 

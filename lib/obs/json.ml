@@ -26,6 +26,22 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* Decimal digits straight into the buffer, most significant first:
+   [string_of_int] formats through C and allocates a string per integer,
+   and integers are most of an event stream.  The loop runs on the
+   non-positive magnitude [m], so [min_int], whose negation overflows,
+   needs no special case: [p] is the largest power of ten not above |m|,
+   and each digit is -((m / p) mod 10). *)
+let add_int buf i =
+  if i < 0 then Buffer.add_char buf '-';
+  let m = if i < 0 then i else -i in
+  let p = ref 1 in
+  while !p <= -(m / 10) do p := !p * 10 done;
+  while !p > 0 do
+    Buffer.add_char buf (Char.unsafe_chr (48 - ((m / !p) mod 10)));
+    p := !p / 10
+  done
+
 (* Shortest decimal rendering that parses back to the same float; both
    candidates are valid JSON numbers ("%.17g" may print "1e+16" — fine). *)
 let float_repr f =
@@ -35,7 +51,7 @@ let float_repr f =
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f ->
       if not (Float.is_finite f) then Buffer.add_string buf "null"
       else Buffer.add_string buf (float_repr f)

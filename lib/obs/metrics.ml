@@ -4,28 +4,43 @@
 let bucket_bounds =
   Array.append (Array.init 25 (fun i -> Float.of_int (1 lsl i))) [| Float.infinity |]
 
-let bucket_index v =
-  let rec go i = if i >= Array.length bucket_bounds - 1 || v <= bucket_bounds.(i) then i else go (i + 1) in
-  go 0
+(* A loop rather than a local recursive function, so that it inlines
+   into [update] and the value is never boxed. *)
+let[@inline] bucket_index v =
+  let last = Array.length bucket_bounds - 1 in
+  let i = ref 0 in
+  while !i < last && not (v <= bucket_bounds.(!i)) do Stdlib.incr i done;
+  !i
 
 type hist = { count : int; sum : float; min : float; max : float; buckets : int array }
 
-type hist_cell = {
+(* A resolved series: the handle a recorder keeps so that recording is
+   plain field and array stores, with no label sorting, rendering or
+   hashing.  A series is created unrecorded and appears in folds, merges
+   and documents only once [live], that is once something was recorded
+   into it, so resolving a handle ahead of use changes no document.
+   Histogram sum, min and max sit in a float array, which stores them
+   unboxed: a float field of this mixed record would allocate a box on
+   every update. *)
+type counter = {
+  c_name : string;
+  c_labels : (string * string) list;
+  mutable value : int;
+  mutable c_live : bool;
+}
+
+type histo = {
+  h_name : string;
+  h_labels : (string * string) list;
   mutable h_count : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
+  h_stats : float array;  (* sum, min, max *)
   h_buckets : int array;
+  mutable h_live : bool;
 }
 
-(* Keys are (name, canonical labels); the Hashtbl key is the rendered
-   series string to keep hashing cheap and collision-free. *)
-type series = { name : string; labels : (string * string) list }
-
-type t = {
-  counters : (string, series * int ref) Hashtbl.t;
-  histograms : (string, series * hist_cell) Hashtbl.t;
-}
+(* Keys are the rendered (name, canonical labels) string, to keep
+   hashing cheap and collision-free. *)
+type t = { counters : (string, counter) Hashtbl.t; histograms : (string, histo) Hashtbl.t }
 
 let create () = { counters = Hashtbl.create 64; histograms = Hashtbl.create 16 }
 
@@ -47,73 +62,102 @@ let render name labels =
     labels;
   Buffer.contents buf
 
-let incr t ?(by = 1) ?(labels = []) name =
-  let labels = canonical labels in
+(* [labels] must already be canonical. *)
+let counter_canonical t name labels =
   let key = render name labels in
   match Hashtbl.find_opt t.counters key with
-  | Some (_, r) -> r := !r + by
-  | None -> Hashtbl.replace t.counters key ({ name; labels }, ref by)
-
-(* [labels] must already be canonical. *)
-let hist_cell t name labels =
-  let key = render name labels in
-  match Hashtbl.find_opt t.histograms key with
-  | Some (_, c) -> c
+  | Some c -> c
   | None ->
-      let c =
-        {
-          h_count = 0;
-          h_sum = 0.0;
-          h_min = Float.infinity;
-          h_max = Float.neg_infinity;
-          h_buckets = Array.make (Array.length bucket_bounds) 0;
-        }
-      in
-      Hashtbl.replace t.histograms key ({ name; labels }, c);
+      let c = { c_name = name; c_labels = labels; value = 0; c_live = false } in
+      Hashtbl.replace t.counters key c;
       c
 
-let observe t ?(labels = []) name v =
-  let labels = canonical labels in
-  let cell = hist_cell t name labels in
-  cell.h_count <- cell.h_count + 1;
-  cell.h_sum <- cell.h_sum +. v;
-  if v < cell.h_min then cell.h_min <- v;
-  if v > cell.h_max then cell.h_max <- v;
-  let i = bucket_index v in
-  cell.h_buckets.(i) <- cell.h_buckets.(i) + 1
+let counter t ?(labels = []) name = counter_canonical t name (canonical labels)
+
+let add c by =
+  c.value <- c.value + by;
+  c.c_live <- true
+
+let incr t ?(by = 1) ?labels name = add (counter t ?labels name) by
+
+(* [labels] must already be canonical. *)
+let histo_canonical t name labels =
+  let key = render name labels in
+  match Hashtbl.find_opt t.histograms key with
+  | Some h -> h
+  | None ->
+      let h =
+        {
+          h_name = name;
+          h_labels = labels;
+          h_count = 0;
+          h_stats = [| 0.0; Float.infinity; Float.neg_infinity |];
+          h_buckets = Array.make (Array.length bucket_bounds) 0;
+          h_live = false;
+        }
+      in
+      Hashtbl.replace t.histograms key h;
+      h
+
+let histo t ?(labels = []) name = histo_canonical t name (canonical labels)
+
+(* The one histogram update.  Inlined into [record] and [record_int], so
+   the value stays an unboxed float on both paths.  [count] copies of [v]
+   add [v * count] to the sum, which is the sum of [count] separate
+   additions whenever those are exact: integer-valued observations below
+   2^53, the only weighted ones {!Bridge} records. *)
+let[@inline] update h count v =
+  if count < 0 then invalid_arg "Obs.Metrics.record: negative count";
+  if count > 0 then begin
+    h.h_live <- true;
+    h.h_count <- h.h_count + count;
+    let st = h.h_stats in
+    st.(0) <- st.(0) +. (if count = 1 then v else v *. float_of_int count);
+    if v < st.(1) then st.(1) <- v;
+    if v > st.(2) then st.(2) <- v;
+    let i = bucket_index v in
+    h.h_buckets.(i) <- h.h_buckets.(i) + count
+  end
+
+let record h ~count v = update h count v
+let record_int h ~count v = update h count (float_of_int v)
+let observe t ?labels name v = record (histo t ?labels name) ~count:1 v
 
 let counter_value t ?(labels = []) name =
   match Hashtbl.find_opt t.counters (render name (canonical labels)) with
-  | Some (_, r) -> !r
+  | Some c -> c.value
   | None -> 0
 
-let snapshot cell =
+let snapshot h =
   {
-    count = cell.h_count;
-    sum = cell.h_sum;
-    min = cell.h_min;
-    max = cell.h_max;
-    buckets = Array.copy cell.h_buckets;
+    count = h.h_count;
+    sum = h.h_stats.(0);
+    min = h.h_stats.(1);
+    max = h.h_stats.(2);
+    buckets = Array.copy h.h_buckets;
   }
 
 let histogram t ?(labels = []) name =
-  Option.map
-    (fun (_, c) -> snapshot c)
-    (Hashtbl.find_opt t.histograms (render name (canonical labels)))
+  match Hashtbl.find_opt t.histograms (render name (canonical labels)) with
+  | Some h when h.h_live -> Some (snapshot h)
+  | Some _ | None -> None
 
-let sorted_seq tbl =
-  Hashtbl.fold (fun key (series, v) acc -> (key, series, v) :: acc) tbl []
-  |> List.sort (fun (k1, _, _) (k2, _, _) -> String.compare k1 k2)
+(* Recorded series only, sorted by rendered key. *)
+let sorted_live tbl ~live =
+  Hashtbl.fold (fun key s acc -> if live s then (key, s) :: acc else acc) tbl []
+  |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
+  |> List.map snd
+
+let live_counters t = sorted_live t.counters ~live:(fun c -> c.c_live)
+let live_histos t = sorted_live t.histograms ~live:(fun h -> h.h_live)
 
 let fold_counters t ~init ~f =
-  List.fold_left
-    (fun acc (_, s, r) -> f acc ~name:s.name ~labels:s.labels !r)
-    init (sorted_seq t.counters)
+  List.fold_left (fun acc c -> f acc ~name:c.c_name ~labels:c.c_labels c.value) init (live_counters t)
 
 let fold_histograms t ~init ~f =
   List.fold_left
-    (fun acc (_, s, c) -> f acc ~name:s.name ~labels:s.labels (snapshot c))
-    init (sorted_seq t.histograms)
+    (fun acc h -> f acc ~name:h.h_name ~labels:h.h_labels (snapshot h))
+    init (live_histos t)
 
 let labels_json labels = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)
 
@@ -161,19 +205,19 @@ let to_json t =
 (* ------------------------------ merging ------------------------------ *)
 
 let merge_into ~into src =
+  (* Source labels are canonical already: they were canonicalised when
+     the series was resolved. *)
+  List.iter (fun c -> add (counter_canonical into c.c_name c.c_labels) c.value) (live_counters src);
   List.iter
-    (fun (_, s, r) -> incr into ~by:!r ~labels:s.labels s.name)
-    (sorted_seq src.counters);
-  List.iter
-    (fun (_, s, c) ->
-      (* s.labels is canonical already: it was canonicalised on insert. *)
-      let dst = hist_cell into s.name s.labels in
-      dst.h_count <- dst.h_count + c.h_count;
-      dst.h_sum <- dst.h_sum +. c.h_sum;
-      if c.h_min < dst.h_min then dst.h_min <- c.h_min;
-      if c.h_max > dst.h_max then dst.h_max <- c.h_max;
-      Array.iteri (fun i v -> dst.h_buckets.(i) <- dst.h_buckets.(i) + v) c.h_buckets)
-    (sorted_seq src.histograms)
+    (fun h ->
+      let dst = histo_canonical into h.h_name h.h_labels in
+      dst.h_live <- true;
+      dst.h_count <- dst.h_count + h.h_count;
+      dst.h_stats.(0) <- dst.h_stats.(0) +. h.h_stats.(0);
+      if h.h_stats.(1) < dst.h_stats.(1) then dst.h_stats.(1) <- h.h_stats.(1);
+      if h.h_stats.(2) > dst.h_stats.(2) then dst.h_stats.(2) <- h.h_stats.(2);
+      Array.iteri (fun i v -> dst.h_buckets.(i) <- dst.h_buckets.(i) + v) h.h_buckets)
+    (live_histos src)
 
 (* ------------------------- domain sharding --------------------------- *)
 

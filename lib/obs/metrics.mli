@@ -9,6 +9,14 @@
     makes bucket edges identical across runs — the property exporters and
     diffing tools rely on.
 
+    A series is resolved once into a handle ({!counter}, {!histo}) and
+    recorded through it with plain stores: no label sorting, rendering
+    or hashing per record.  {!incr} and {!observe} resolve and record in
+    one call; they are wrappers over the same handles, so every record
+    takes one path.  A resolved series appears in folds, merges and
+    documents only once something was recorded into it, so resolving
+    ahead of use never changes a document.
+
     Everything here is observation-only bookkeeping: recording into a
     registry never perturbs an execution (no RNG, no scheduling). *)
 
@@ -16,16 +24,45 @@ type t
 
 val create : unit -> t
 
+type counter
+(** A resolved counter series. *)
+
+val counter : t -> ?labels:(string * string) list -> string -> counter
+(** Resolve the counter series [name]/[labels], creating it unrecorded
+    if needed.  Equal (name, labels) give the same handle. *)
+
+val add : counter -> int -> unit
+(** Add to the counter; the series is recorded from then on, even when
+    the amount is 0. *)
+
 val incr : t -> ?by:int -> ?labels:(string * string) list -> string -> unit
-(** Add [by] (default 1) to the counter series [name]/[labels]. *)
+(** [add (counter t ?labels name) by], [by] defaulting to 1. *)
+
+type histo
+(** A resolved histogram series. *)
+
+val histo : t -> ?labels:(string * string) list -> string -> histo
+(** Resolve the histogram series [name]/[labels], creating it unrecorded
+    if needed. *)
+
+val record : histo -> count:int -> float -> unit
+(** Record [count] observations of one value.  [count = 0] is a no-op
+    that leaves the series unrecorded.  The sum grows by
+    [value * count], which equals [count] separate additions for
+    integer-valued observations below 2^53.  Non-finite values are
+    counted in [count]/[sum] but land in the overflow bucket; callers
+    normally observe finite sim quantities.
+    @raise Invalid_argument on a negative [count]. *)
+
+val record_int : histo -> count:int -> int -> unit
+(** [record h ~count (float_of_int v)] without boxing a float at the
+    call, so an integer observation allocates nothing. *)
 
 val observe : t -> ?labels:(string * string) list -> string -> float -> unit
-(** Record one value into the histogram series.  Non-finite values are
-    counted in [count]/[sum] clamping aside but land in the overflow
-    bucket; callers normally observe finite sim quantities. *)
+(** [record (histo t ?labels name) ~count:1 v]. *)
 
 val counter_value : t -> ?labels:(string * string) list -> string -> int
-(** 0 when the series was never incremented. *)
+(** 0 when the series was never recorded into. *)
 
 val bucket_bounds : float array
 (** The shared histogram upper bounds: 1, 2, 4, ... 2^24, then [infinity]
@@ -44,10 +81,12 @@ type hist = {
 }
 
 val histogram : t -> ?labels:(string * string) list -> string -> hist option
+(** A snapshot; [None] when the series was never recorded into. *)
 
 val fold_counters : t -> init:'a -> f:('a -> name:string -> labels:(string * string) list -> int -> 'a) -> 'a
 val fold_histograms : t -> init:'a -> f:('a -> name:string -> labels:(string * string) list -> hist -> 'a) -> 'a
-(** Deterministic iteration order: sorted by (name, labels). *)
+(** Recorded series only, in a deterministic order: sorted by (name,
+    labels). *)
 
 val to_json : t -> Json.t
 (** [{"counters": [{"name","labels","value"}...],

@@ -6,7 +6,8 @@ type 'm process_state =
 
 type expand = Eager | Lazy | Sharded of { jobs : int }
 
-type 'm meta_observer = src:int -> count:int -> words:int -> correct:bool -> 'm -> unit
+type 'm meta_observer =
+  src:int -> id:int -> dst:int -> count:int -> words:int -> depth:int -> correct:bool -> 'm -> unit
 
 (* Unicast arena: one slot per in-flight point-to-point message, int fields
    in flat struct-of-arrays storage.  Slots are recycled through a free
@@ -250,8 +251,15 @@ let b_release t s =
 
 (* ---- sending ---------------------------------------------------------- *)
 
-let fire_meta t ~src ~count ~words ~correct m =
-  List.iter (fun obs -> obs ~src ~count ~words ~correct m) t.meta_observers
+(* Direct recursion, not [List.iter] over a closure: under eager
+   expansion this runs once per envelope, observed or not, and the
+   closure would be allocated every time. *)
+let rec fire_meta observers ~src ~id ~dst ~count ~words ~depth ~correct m =
+  match observers with
+  | [] -> ()
+  | obs :: rest ->
+      obs ~src ~id ~dst ~count ~words ~depth ~correct m;
+      fire_meta rest ~src ~id ~dst ~count ~words ~depth ~correct m
 
 let count_send t ~words ~correct =
   if correct then begin
@@ -264,19 +272,20 @@ let count_send t ~words ~correct =
   end
 
 (* One point-to-point enqueue: metrics, arena slot, latency draw, heap push,
-   legacy per-envelope observers.  Meta observers are the caller's job so a
-   broadcast can report once. *)
+   then the send observers.  Meta observers go first, so they record the
+   send before a per-envelope observer can corrupt the sender over it. *)
 let send_one t ~src ~dst ~words ~correct m =
   count_send t ~words ~correct;
   let s = u_alloc t in
   let u = t.uni in
   let id = t.next_id in
   t.next_id <- id + 1;
+  let depth = t.depth.(src) + 1 in
   u.u_id.(s) <- id;
   u.u_src.(s) <- src;
   u.u_dst.(s) <- dst;
   u.u_words.(s) <- words;
-  u.u_depth.(s) <- t.depth.(src) + 1;
+  u.u_depth.(s) <- depth;
   u.u_sstep.(s) <- t.step;
   u.u_snow.(s) <- t.now;
   u.u_payload.(s) <- Some m;
@@ -287,6 +296,7 @@ let send_one t ~src ~dst ~words ~correct m =
      misbehaving custom scheduler cannot poison the queue order. *)
   let latency = if latency >= 0.0 then latency else 0.0 in
   Heap.push t.queue (t.now +. latency) id ((s lsl 1));
+  fire_meta t.meta_observers ~src ~id ~dst ~count:1 ~words ~depth ~correct m;
   if t.send_observers <> [] then begin
     let e =
       {
@@ -295,7 +305,7 @@ let send_one t ~src ~dst ~words ~correct m =
         dst;
         payload = m;
         words;
-        depth = u.u_depth.(s);
+        depth;
         sent_step = t.step;
         sent_now = t.now;
       }
@@ -308,31 +318,21 @@ let send t ~src ~dst ~words m =
   check_pid t dst;
   match t.procs.(src) with
   | Crashed -> () (* a crashed process sends nothing *)
-  | Unregistered | Correct _ ->
-      send_one t ~src ~dst ~words ~correct:true m;
-      fire_meta t ~src ~count:1 ~words ~correct:true m
-  | Byzantine _ ->
-      send_one t ~src ~dst ~words ~correct:false m;
-      fire_meta t ~src ~count:1 ~words ~correct:false m
+  | Unregistered | Correct _ -> send_one t ~src ~dst ~words ~correct:true m
+  | Byzantine _ -> send_one t ~src ~dst ~words ~correct:false m
 
 (* Eager expansion: n individual enqueues, exactly the seed engine's
-   broadcast.  Per-destination class judgement tolerates a legacy send
-   observer corrupting the source mid-broadcast; the meta observers then
-   get one call per class actually sent. *)
+   broadcast.  The class is judged per destination, so a per-envelope
+   send observer may corrupt the source mid-broadcast: the remaining
+   destinations then go out in the new class, or not at all after a
+   crash. *)
 let eager_broadcast t ~src ~words m =
-  let ncorrect = ref 0 and nbyz = ref 0 in
   for dst = 0 to t.n - 1 do
     match t.procs.(src) with
     | Crashed -> ()
-    | Unregistered | Correct _ ->
-        incr ncorrect;
-        send_one t ~src ~dst ~words ~correct:true m
-    | Byzantine _ ->
-        incr nbyz;
-        send_one t ~src ~dst ~words ~correct:false m
-  done;
-  if !ncorrect > 0 then fire_meta t ~src ~count:!ncorrect ~words ~correct:true m;
-  if !nbyz > 0 then fire_meta t ~src ~count:!nbyz ~words ~correct:false m
+    | Unregistered | Correct _ -> send_one t ~src ~dst ~words ~correct:true m
+    | Byzantine _ -> send_one t ~src ~dst ~words ~correct:false m
+  done
 
 (* splitmix64-style finalizer, the per-chunk seed derivation for sharded
    expansion.  Pure function of (engine seed, broadcast id, chunk index):
@@ -450,10 +450,11 @@ let lazy_broadcast t ~src ~words ~correct ~sharded m =
   end;
   let s = b_alloc t in
   let b = t.bcast in
+  let depth = t.depth.(src) + 1 in
   b.b_base.(s) <- base;
   b.b_src.(s) <- src;
   b.b_words.(s) <- words;
-  b.b_depth.(s) <- t.depth.(src) + 1;
+  b.b_depth.(s) <- depth;
   b.b_sstep.(s) <- t.step;
   b.b_snow.(s) <- t.now;
   b.b_payload.(s) <- Some m;
@@ -461,7 +462,7 @@ let lazy_broadcast t ~src ~words ~correct ~sharded m =
   b.b_order.(s) <- order;
   b.b_next.(s) <- 0;
   Heap.push t.queue times.(0) (base + order.(0)) ((s lsl 1) lor 1);
-  fire_meta t ~src ~count:t.n ~words ~correct m
+  fire_meta t.meta_observers ~src ~id:base ~dst:0 ~count:t.n ~words ~depth ~correct m
 
 let broadcast t ~src ~words m =
   check_pid t src;
@@ -471,9 +472,10 @@ let broadcast t ~src ~words m =
       let correct =
         match t.procs.(src) with Unregistered | Correct _ -> true | Crashed | Byzantine _ -> false
       in
-      (* Legacy per-envelope send observers may corrupt the source between
-         two destinations of the same broadcast; only eager expansion
-         realises those semantics, so their presence forces it. *)
+      (* Per-envelope send observers (the adaptive corruption policies)
+         may corrupt the source between two destinations of the same
+         broadcast; only eager expansion realises those semantics, so
+         their presence forces it.  Meta observers do not. *)
       if t.send_observers <> [] then eager_broadcast t ~src ~words m
       else
         match t.expand with

@@ -37,12 +37,14 @@
       function is safe to call from worker domains (all built-ins are);
       otherwise the broadcast silently falls back to [Lazy].
 
-    Legacy per-envelope {!on_send} observers can corrupt the sender
-    between two destinations of one broadcast, which only eager expansion
-    can realise — so registering any [on_send] observer forces eager
-    expansion for subsequent broadcasts regardless of mode.  Passive
-    accounting (e.g. {!Ledger}) should use {!on_send_meta}, which keeps
-    the lazy fast path. *)
+    Which hooks force [Eager]: only per-envelope {!on_send} observers.
+    They can corrupt the sender between two destinations of one
+    broadcast, which only eager expansion can realise, so registering
+    one forces eager expansion for subsequent broadcasts regardless of
+    mode.  Today the adaptive policies of {!Faults} are the only ones.
+    Every passive observer ({!Ledger}, {!Trace}, [Obs.Bridge]) uses
+    {!on_send_meta} and {!on_deliver}, so an observed run takes the
+    same expansion path, and the same schedule, as an unobserved one. *)
 
 type 'm t
 
@@ -123,18 +125,31 @@ val all_correct_monotone : 'm t -> (int -> bool) -> unit -> bool
 val on_send : 'm t -> ('m Envelope.t -> unit) -> unit
 (** Register an adversary observer invoked on every send — the "sees all
     communication" power, used by adaptive corruption policies.  Observers
-    fire in registration order.  Registering one forces eager broadcast
-    expansion (see the module header); passive accounting should prefer
-    {!on_send_meta}. *)
+    fire in registration order, after the {!on_send_meta} call for the
+    same envelope.  Registering one forces eager broadcast expansion (see
+    the module header); passive accounting uses {!on_send_meta}. *)
 
 val on_send_meta :
-  'm t -> (src:int -> count:int -> words:int -> correct:bool -> 'm -> unit) -> unit
-(** Compact send hook: invoked once per logical send operation — unicast
-    [count = 1], broadcast [count = n] — with the per-destination word
-    cost and the sender's correctness class.  (Under eager expansion a
-    mid-broadcast corruption splits the broadcast into one call per
-    class actually sent.)  Does not force eager expansion.  Observers
-    fire in registration order. *)
+  'm t ->
+  (src:int -> id:int -> dst:int -> count:int -> words:int -> depth:int -> correct:bool -> 'm -> unit) ->
+  unit
+(** Compact send hook.  One call covers the envelopes [id + k] to
+    destination [dst + k] for [k < count], all from [src], all of
+    [words] words and causal depth [depth], all sent at the current
+    {!step} and {!now}.  [correct] is the sender's class as the engine
+    judged it, the class the {!Metrics} counters book the words under.
+
+    - Under [Lazy] and [Sharded] expansion a broadcast is one call, with
+      [id] its first envelope, [dst = 0] and [count = n].
+    - Under [Eager] expansion, and for every unicast, each envelope is
+      its own call with [count = 1], made before the {!on_send}
+      observers see that envelope.  So a send is reported before any
+      corruption it triggers, and a broadcast cut by a mid-broadcast
+      corruption is reported destination by destination, each in the
+      class it was sent in.
+
+    Does not force eager expansion.  Observers fire in registration
+    order. *)
 
 val on_deliver : 'm t -> ('m Envelope.t -> unit) -> unit
 (** Observer invoked on every delivery, before the destination handler.

@@ -5,9 +5,10 @@
    so growing the round capacity re-strides once per doubling (amortised
    O(1) per message) and a new phase appends one contiguous block without
    moving existing cells.  No per-message allocation, no hashing: the
-   phase id is interned by linear scan over the handful of protocol tags
-   a message type carries, which is what keeps [record_send] cheap enough
-   for the n >= 1e5 sweeps this ledger exists to serve. *)
+   phase id is interned ({!Intern}) by linear scan over the handful of
+   protocol tags a message type carries, which is what keeps
+   [record_send] cheap enough for the n >= 1e5 sweeps this ledger exists
+   to serve. *)
 
 type cell = {
   correct_msgs : int;
@@ -35,34 +36,30 @@ let is_zero_cell c =
 let fields = 5
 
 type t = {
-  mutable phases : string array;  (* first-seen order; only [nphases] live *)
-  mutable nphases : int;
+  phases : Intern.t;
   mutable cap_rounds : int;
   mutable max_round : int;        (* -1 while empty *)
-  mutable data : int array;       (* nphases * cap_rounds * fields ints *)
+  mutable data : int array;       (* phases * cap_rounds * fields ints *)
 }
 
-let create () = { phases = [||]; nphases = 0; cap_rounds = 16; max_round = -1; data = [||] }
+let create () = { phases = Intern.create (); cap_rounds = 16; max_round = -1; data = [||] }
 
-let phases t = Array.to_list (Array.sub t.phases 0 t.nphases)
+let nphases t = Intern.length t.phases
+let phases t = List.init (nphases t) (Intern.get t.phases)
 let max_round t = t.max_round
 
-let find_phase t name =
-  (* Physical equality first: protocol [tag_of_msg] functions return
-     constant literals, so the hot path is a pointer scan over a handful
-     of entries with no byte comparison at all. *)
-  let rec go i =
-    if i >= t.nphases then None
-    else if t.phases.(i) == name || String.equal t.phases.(i) name then Some i
-    else go (i + 1)
-  in
-  go 0
+(* Rounds above the ceiling share its row, as negative rounds share row
+   0: a round number is read from a message, so a forged one must not
+   size the table. *)
+let round_ceiling = 1024
+
+let clamp_round r = if r < 0 then 0 else if r > round_ceiling then round_ceiling else r
 
 let grow_rounds t round =
   let cap = ref t.cap_rounds in
   while round >= !cap do cap := !cap * 2 done;
-  let data = Array.make (t.nphases * !cap * fields) 0 in
-  for p = 0 to t.nphases - 1 do
+  let data = Array.make (nphases t * !cap * fields) 0 in
+  for p = 0 to nphases t - 1 do
     Array.blit t.data (p * t.cap_rounds * fields) data (p * !cap * fields)
       (t.cap_rounds * fields)
   done;
@@ -70,21 +67,15 @@ let grow_rounds t round =
   t.data <- data
 
 let intern_phase t name =
-  match find_phase t name with
-  | Some p -> p
-  | None ->
-      if t.nphases = Array.length t.phases then begin
-        let np = Array.make (max 4 (2 * Array.length t.phases)) "" in
-        Array.blit t.phases 0 np 0 t.nphases;
-        t.phases <- np
-      end;
-      t.phases.(t.nphases) <- name;
-      t.nphases <- t.nphases + 1;
-      t.data <- Array.append t.data (Array.make (t.cap_rounds * fields) 0);
-      t.nphases - 1
+  let p = Intern.find t.phases name in
+  if p >= 0 then p
+  else begin
+    t.data <- Array.append t.data (Array.make (t.cap_rounds * fields) 0);
+    Intern.intern t.phases name
+  end
 
 let slot t ~phase ~round =
-  let round = if round < 0 then 0 else round in
+  let round = clamp_round round in
   let p = intern_phase t phase in
   if round >= t.cap_rounds then grow_rounds t round;
   if round > t.max_round then t.max_round <- round;
@@ -131,16 +122,15 @@ let cell_at t p r =
   }
 
 let cell t ~phase ~round =
-  match find_phase t phase with
-  | Some p when round >= 0 && round <= t.max_round -> cell_at t p round
-  | Some _ | None -> zero_cell
+  let p = Intern.find t.phases phase in
+  if p >= 0 && round >= 0 && round <= t.max_round then cell_at t p round else zero_cell
 
 let fold t ~init ~f =
   let acc = ref init in
   for r = 0 to t.max_round do
-    for p = 0 to t.nphases - 1 do
+    for p = 0 to nphases t - 1 do
       let c = cell_at t p r in
-      if not (is_zero_cell c) then acc := f !acc ~phase:t.phases.(p) ~round:r c
+      if not (is_zero_cell c) then acc := f !acc ~phase:(Intern.get t.phases p) ~round:r c
     done
   done;
   !acc
@@ -149,7 +139,7 @@ let round_total t round =
   if round < 0 || round > t.max_round then zero_cell
   else begin
     let acc = ref zero_cell in
-    for p = 0 to t.nphases - 1 do
+    for p = 0 to nphases t - 1 do
       acc := add_cell !acc (cell_at t p round)
     done;
     !acc
@@ -171,7 +161,7 @@ let attach eng t ~tag_of ?round_of () =
   (* The compact meta hook, not the per-envelope [on_send] stream: one
      call per logical broadcast keeps the engine on its lazy fast path
      (a per-envelope observer would force eager expansion). *)
-  Engine.on_send_meta eng (fun ~src:_ ~count ~words ~correct m ->
+  Engine.on_send_meta eng (fun ~src:_ ~id:_ ~dst:_ ~count ~words ~depth:_ ~correct m ->
       record_send_many t ~phase:(tag_of m) ~round:(round_of m) ~correct ~words ~count);
   Engine.on_deliver eng (fun e ->
       record_delivery t

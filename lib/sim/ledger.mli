@@ -12,8 +12,13 @@
     The accumulator is a flat int array (phase-major, rounds doubling),
     so recording a message is a handful of array stores with no
     allocation and no hashing — cheap enough to leave attached in the
-    n >= 1e5 simulator the ROADMAP targets.  Several runs may share one
-    ledger ({!attach} it to successive engines) to aggregate a campaign.
+    n >= 1e5 simulator the ROADMAP targets.  Its size is bounded whatever
+    the messages say: rounds are clamped into [0, {!round_ceiling}]
+    before they pick a row, so at most [round_ceiling + 1] rows per phase
+    exist, and a forged round number (a Byzantine sender chooses it) can
+    neither hang the table's growth nor exhaust memory.  Several runs may
+    share one ledger ({!attach} it to successive engines) to aggregate a
+    campaign.
 
     Like {!Obs.Bridge}, attachment is passive: recording reads the
     engine's observer stream and never touches RNG or scheduling, so a
@@ -35,9 +40,19 @@ val is_zero_cell : cell -> bool
 
 val create : unit -> t
 
+val round_ceiling : int
+(** The last row, 1024: rounds above it are booked there.  Committed runs
+    decide within a handful of rounds, far below it. *)
+
+val clamp_round : int -> int
+(** The row a round is booked into: negative rounds clamp to 0 and
+    rounds above {!round_ceiling} to the ceiling.  [Obs.Bridge] labels
+    its [round] series with the same clamp. *)
+
 val record_send : t -> phase:string -> round:int -> correct:bool -> words:int -> unit
-(** Account one sent message.  Negative rounds clamp to 0 (protocols
-    without a round structure pass 0 throughout). *)
+(** Account one sent message in row [clamp_round round] (protocols
+    without a round structure pass 0 throughout).  Allocates nothing
+    once the phase and the row exist. *)
 
 val record_send_many :
   t -> phase:string -> round:int -> correct:bool -> words:int -> count:int -> unit
@@ -46,16 +61,19 @@ val record_send_many :
     [count = 0] is a complete no-op, phase interning included). *)
 
 val record_delivery : t -> phase:string -> round:int -> unit
+(** Account one delivery in row [clamp_round round]; allocates nothing
+    once the phase and the row exist. *)
 
 val attach :
   'm Engine.t -> t -> tag_of:('m -> string) -> ?round_of:('m -> int) -> unit -> unit
 (** Subscribe the ledger to an engine's observer streams.  [tag_of]
     names the phase (the protocol's [tag_of_msg]); [round_of] (default:
     constant 0) extracts the round.  Sends are consumed through
-    {!Engine.on_send_meta} — one call per logical broadcast, with the
-    sender class the engine judged at send time — so attachment keeps
-    the engine's lazy broadcast fast path (a per-envelope [on_send]
-    observer would force eager expansion). *)
+    {!Engine.on_send_meta} — one call per logical broadcast under lazy
+    expansion, one per envelope under eager, with the sender class the
+    engine judged at send time — so attachment keeps the engine's lazy
+    broadcast fast path (a per-envelope [on_send] observer would force
+    eager expansion). *)
 
 val phases : t -> string list
 (** Phases in first-seen order. *)
@@ -64,7 +82,8 @@ val max_round : t -> int
 (** Largest recorded round; [-1] while the ledger is empty. *)
 
 val cell : t -> phase:string -> round:int -> cell
-(** [zero_cell] for never-recorded coordinates. *)
+(** [zero_cell] for never-recorded coordinates.  [round] names a row:
+    what was recorded above the ceiling is read at [round_ceiling]. *)
 
 val round_total : t -> int -> cell
 (** Sum over phases of one round. *)

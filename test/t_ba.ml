@@ -171,36 +171,82 @@ let qcheck_safety_random =
       | [ v ] -> List.for_all (fun (_, d) -> d = v) o.Runner.decisions
       | _ -> true)
 
+(* The observers [ba --emit-*] and [complexity] attach — metrics bridge,
+   event trace and word ledger — and the four documents they render:
+   ledger, metrics, events JSONL and Chrome trace. *)
+let run_observed ~params ~n run =
+  let metrics = Obs.Metrics.create ()
+  and trace = Sim.Trace.create ()
+  and ledger = Sim.Ledger.create () in
+  let o =
+    run (fun eng ->
+        Instrument.attach_ba eng ~metrics;
+        Sim.Trace.attach trace eng;
+        Instrument.attach_ba_ledger eng ledger)
+  in
+  let docs =
+    [
+      ("ledger", Obs.Json.to_string (Instrument.ledger_json ~protocol:"whp-ba" ~n ledger));
+      ( "metrics document",
+        Obs.Json.to_string
+          (Instrument.metrics_doc ~params ~outcomes:[ Instrument.outcome_json o ] ~metrics ()) );
+      ("events JSONL", Obs.Export.jsonl_to_string (Obs.Export.trace_jsonl trace));
+      ( "Chrome trace",
+        Obs.Json.to_string (Obs.Export.chrome_trace (Obs.Export.chrome_of_trace trace)) );
+    ]
+  in
+  (o, docs)
+
 let test_eager_lazy_ledger_identical () =
   (* Lazy multicast must leave protocol-level runs byte-identical to eager
      expansion: same outcome record (decisions, words, depth, vtime, run
-     result) and the same exported coincidence.ledger/1 document, at
-     several n on fixed seeds.  The step cap bounds the n = 256 instance;
-     equivalence over a capped prefix is just as binding. *)
+     result) and the same exported documents — ledger, metrics, events
+     and Chrome trace — at several n on fixed seeds.  Under eager
+     expansion the observers see one send call per envelope, under lazy
+     one per broadcast; the documents must not tell them apart.  The
+     step cap bounds the n = 256 instance; equivalence over a capped
+     prefix is just as binding. *)
   List.iter
     (fun n ->
       let kr = Vrf.Keyring.create ~backend:Vrf.Mock ~n ~seed:"equiv" () in
       let params = Tutil.robust_params n in
       let inputs = Array.init n (fun i -> i mod 2) in
       let run expand =
-        let ledger = Sim.Ledger.create () in
-        let o =
-          Runner.run_ba ~expand
-            ~probe:(fun eng -> Instrument.attach_ba_ledger eng ledger)
-            ~max_steps:150_000 ~keyring:kr ~params ~inputs ~seed:(1000 + n) ()
-        in
-        (o, Obs.Json.to_string (Instrument.ledger_json ~protocol:"whp-ba" ~n ledger))
+        run_observed ~params ~n (fun probe ->
+            Runner.run_ba ~expand ~probe ~max_steps:150_000 ~keyring:kr ~params ~inputs
+              ~seed:(1000 + n) ())
       in
-      let eager_o, eager_doc = run Sim.Engine.Eager in
-      let lazy_o, lazy_doc = run Sim.Engine.Lazy in
+      let eager_o, eager_docs = run Sim.Engine.Eager in
+      let lazy_o, lazy_docs = run Sim.Engine.Lazy in
       Alcotest.(check bool) (Printf.sprintf "outcome identical at n=%d" n) true (eager_o = lazy_o);
-      Alcotest.(check string) (Printf.sprintf "ledger identical at n=%d" n) eager_doc lazy_doc)
+      List.iter2
+        (fun (what, e) (_, l) ->
+          Alcotest.(check bool) (Printf.sprintf "%s identical at n=%d" what n) true (String.equal e l))
+        eager_docs lazy_docs)
     [ 16; 64; 256 ]
+
+(* Watching must not change the run, under the expansion modes that do
+   not force eager: before the observers moved to the compact send hook,
+   attaching them switched a Sharded run to eager expansion, a different
+   schedule (3,805,184 words instead of 3,804,800 here). *)
+let test_observers_keep_the_run () =
+  let n = 64 in
+  let kr = Vrf.Keyring.create ~backend:Vrf.Mock ~n ~seed:"watch" () in
+  let params = Params.make_exn ~strict:false ~epsilon:0.25 ~d:0.04 ~lambda:n ~n () in
+  let inputs = Array.init n (fun i -> i mod 2) in
+  List.iter
+    (fun (name, expand) ->
+      let run probe = Runner.run_ba ~expand ?probe ~keyring:kr ~params ~inputs ~seed:5 () in
+      let plain = run None in
+      let watched, _ = run_observed ~params ~n (fun probe -> run (Some probe)) in
+      Alcotest.(check bool) (name ^ ": outcome identical with observers") true (plain = watched))
+    [ ("lazy", Sim.Engine.Lazy); ("sharded jobs=1", Sim.Engine.Sharded { jobs = 1 }) ]
 
 let suite =
   [
     Alcotest.test_case "validity ones" `Quick test_validity_all_ones;
     Alcotest.test_case "eager/lazy ledger identical" `Quick test_eager_lazy_ledger_identical;
+    Alcotest.test_case "observers keep lazy and sharded runs" `Quick test_observers_keep_the_run;
     Alcotest.test_case "validity zeros" `Quick test_validity_all_zeros;
     Alcotest.test_case "mixed inputs" `Slow test_mixed_inputs;
     Alcotest.test_case "one dissenter" `Quick test_one_dissenter;

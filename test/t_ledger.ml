@@ -46,6 +46,13 @@ let test_record_and_read () =
   Sim.Ledger.record_send l ~phase:"A" ~round:(-3) ~correct:true ~words:100;
   Alcotest.(check int) "negative round clamps" 108
     (Sim.Ledger.cell l ~phase:"A" ~round:0).Sim.Ledger.correct_words;
+  (* a phase is found by value, not only by pointer: a copy of the tag
+     built at run time records into and reads the same phase *)
+  let a = String.make 1 'A' in
+  Sim.Ledger.record_delivery l ~phase:a ~round:0;
+  Alcotest.(check int) "a copy of a tag finds its phase" 2
+    (Sim.Ledger.cell l ~phase:a ~round:0).Sim.Ledger.delivered;
+  Alcotest.(check (list string)) "a copy adds no phase" [ "A"; "B" ] (Sim.Ledger.phases l);
   (* reset zeroes counts, keeps interned phases *)
   Sim.Ledger.reset l;
   Alcotest.(check bool) "reset zeroes" true (Sim.Ledger.is_zero_cell (Sim.Ledger.total l));
@@ -95,6 +102,35 @@ let test_round_growth () =
   Alcotest.(check int) "grown cell" 3
     (Sim.Ledger.cell l ~phase:"P" ~round:100).Sim.Ledger.correct_words;
   Alcotest.(check int) "max_round after growth" 100 (Sim.Ledger.max_round l)
+
+(* A round number is read from a message, so a Byzantine sender picks
+   it.  Before the ceiling, max_int made the capacity doubling overflow
+   to 0 and loop forever, and 1 lsl 40 asked for a 2^40-row table.  Each
+   forged round must now land in a boundary row, at once. *)
+let test_forged_rounds_clamp () =
+  let l = Sim.Ledger.create () in
+  let ceiling = Sim.Ledger.round_ceiling in
+  List.iter
+    (fun (round, words) ->
+      Sim.Ledger.record_send l ~phase:"F" ~round ~correct:false ~words;
+      Sim.Ledger.record_send_many l ~phase:"F" ~round ~correct:true ~words ~count:2;
+      Sim.Ledger.record_delivery l ~phase:"F" ~round)
+    [ (max_int, 1); (1 lsl 40, 10); (min_int, 100); (ceiling + 1, 1000) ];
+  Alcotest.(check int) "max_round is the ceiling" ceiling (Sim.Ledger.max_round l);
+  let top = Sim.Ledger.cell l ~phase:"F" ~round:ceiling in
+  Alcotest.(check int) "max_int, 1 lsl 40 and ceiling+1 share the ceiling row" 1011
+    top.Sim.Ledger.byz_words;
+  Alcotest.(check int) "their correct words" 2022 top.Sim.Ledger.correct_words;
+  Alcotest.(check int) "their deliveries" 3 top.Sim.Ledger.delivered;
+  let bottom = Sim.Ledger.cell l ~phase:"F" ~round:0 in
+  Alcotest.(check int) "min_int lands in row 0" 100 bottom.Sim.Ledger.byz_words;
+  Alcotest.(check int) "min_int delivery" 1 bottom.Sim.Ledger.delivered;
+  Alcotest.(check int) "clamp max_int" ceiling (Sim.Ledger.clamp_round max_int);
+  Alcotest.(check int) "clamp min_int" 0 (Sim.Ledger.clamp_round min_int);
+  Alcotest.(check int) "clamp keeps the ceiling" ceiling (Sim.Ledger.clamp_round ceiling);
+  Alcotest.(check int) "clamp keeps a real round" 3 (Sim.Ledger.clamp_round 3);
+  Alcotest.(check int) "the grand total saw every message" 1111
+    (Sim.Ledger.total l).Sim.Ledger.byz_words
 
 let test_fold_order () =
   let l = Sim.Ledger.create () in
@@ -311,6 +347,7 @@ let suite =
     Alcotest.test_case "record and read cells" `Quick test_record_and_read;
     Alcotest.test_case "record_send_many = repeated record_send" `Quick test_record_send_many;
     Alcotest.test_case "round capacity growth" `Quick test_round_growth;
+    Alcotest.test_case "forged rounds clamp to the ceiling" `Quick test_forged_rounds_clamp;
     Alcotest.test_case "fold order deterministic" `Quick test_fold_order;
     Alcotest.test_case "ledger passive and consistent with metrics" `Quick
       test_ledger_passive_and_consistent;

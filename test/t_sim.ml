@@ -397,8 +397,10 @@ let test_observer_registration_order () =
   let eng : int Engine.t = Engine.create ~n:2 ~seed:21 () in
   let trace = ref [] in
   let mark tag _ = trace := tag :: !trace in
-  Engine.on_send_meta eng (fun ~src:_ ~count:_ ~words:_ ~correct:_ m -> mark "m1" m);
-  Engine.on_send_meta eng (fun ~src:_ ~count:_ ~words:_ ~correct:_ m -> mark "m2" m);
+  Engine.on_send_meta eng (fun ~src:_ ~id:_ ~dst:_ ~count:_ ~words:_ ~depth:_ ~correct:_ m ->
+      mark "m1" m);
+  Engine.on_send_meta eng (fun ~src:_ ~id:_ ~dst:_ ~count:_ ~words:_ ~depth:_ ~correct:_ m ->
+      mark "m2" m);
   Engine.on_deliver eng (mark "d1");
   Engine.on_deliver eng (mark "d2");
   Engine.on_corrupt eng (mark "c1");
@@ -410,6 +412,57 @@ let test_observer_registration_order () =
   Engine.corrupt_crash eng 1;
   Alcotest.(check (list string))
     "registration order" [ "m1"; "m2"; "d1"; "d2"; "c1"; "c2" ] (List.rev !trace)
+
+(* What one meta call covers: envelopes id+k -> dst+k for k < count.  A
+   lazy broadcast is one call; an eager one is a call per envelope, made
+   before the per-envelope observers see it, so a send still comes
+   before the corruption it triggers. *)
+let test_meta_call_coverage () =
+  let log expand ~adaptive =
+    let eng : int Engine.t = Engine.create ~expand ~n:4 ~seed:3 () in
+    let calls = ref [] in
+    Engine.on_send_meta eng (fun ~src ~id ~dst ~count ~words ~depth ~correct m ->
+        calls := Printf.sprintf "meta %d %d %d %d %d %d %b %d" src id dst count words depth correct m
+                 :: !calls);
+    if adaptive then
+      Engine.on_send eng (fun e ->
+          calls := Printf.sprintf "send %d" e.Envelope.id :: !calls;
+          if e.Envelope.dst = 1 then
+            Engine.corrupt_byzantine eng e.Envelope.src (fun _ -> ()));
+    for pid = 0 to 3 do
+      Engine.set_handler eng pid (fun _ -> ())
+    done;
+    Engine.send eng ~src:2 ~dst:3 ~words:5 9;
+    Engine.broadcast eng ~src:1 ~words:2 7;
+    List.rev !calls
+  in
+  Alcotest.(check (list string)) "lazy: a unicast, then the broadcast as one call"
+    [ "meta 2 0 3 1 5 1 true 9"; "meta 1 1 0 4 2 1 true 7" ]
+    (log Engine.Lazy ~adaptive:false);
+  Alcotest.(check (list string)) "eager: one call per envelope, ids and dsts in step"
+    [
+      "meta 2 0 3 1 5 1 true 9";
+      "meta 1 1 0 1 2 1 true 7";
+      "meta 1 2 1 1 2 1 true 7";
+      "meta 1 3 2 1 2 1 true 7";
+      "meta 1 4 3 1 2 1 true 7";
+    ]
+    (log Engine.Eager ~adaptive:false);
+  Alcotest.(check (list string))
+    "a per-envelope observer forces eager; each send is reported before it, in its class"
+    [
+      "meta 2 0 3 1 5 1 true 9";
+      "send 0";
+      "meta 1 1 0 1 2 1 true 7";
+      "send 1";
+      "meta 1 2 1 1 2 1 true 7";
+      "send 2";
+      "meta 1 3 2 1 2 1 false 7";
+      "send 3";
+      "meta 1 4 3 1 2 1 false 7";
+      "send 4";
+    ]
+    (log Engine.Lazy ~adaptive:true)
 
 (* ---------------- Eager vs lazy expansion equivalence ---------------- *)
 
@@ -646,6 +699,7 @@ let suite =
     Alcotest.test_case "bitset word boundaries" `Quick test_bitset_boundaries;
     Alcotest.test_case "bitset grow/copy independence" `Quick test_bitset_grow_copy;
     Alcotest.test_case "dsort duplicate keys" `Quick test_dsort_duplicate_keys;
+    Alcotest.test_case "meta call coverage" `Quick test_meta_call_coverage;
     Alcotest.test_case "observer registration order" `Quick test_observer_registration_order;
     Alcotest.test_case "eager/lazy equivalence" `Quick test_eager_lazy_equivalent;
     Alcotest.test_case "dsort differential" `Quick test_dsort_differential;

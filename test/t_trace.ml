@@ -133,6 +133,43 @@ let test_attach_does_not_change_execution () =
   in
   Alcotest.(check bool) "same delivery order" true (run true = run false)
 
+(* The ring grows by doubling until it reaches its capacity and wraps
+   only then.  Two traces of one run, one big enough to keep everything,
+   must agree on the window the smaller one keeps, across the growth
+   steps (1024, 2048, ...) and the capacity that is not a power of two,
+   and on broadcasts written as n Sent events at once. *)
+let test_ring_growth_and_window () =
+  let record capacities =
+    let eng : int Engine.t = Engine.create ~n:8 ~seed:4 () in
+    let traces = List.map (fun capacity -> Trace.create ~capacity ()) capacities in
+    List.iter (fun t -> Trace.attach t eng) traces;
+    for pid = 0 to 7 do
+      Engine.set_handler eng pid (fun e ->
+          if e.Envelope.payload < 9 && (pid + e.Envelope.payload) mod 4 = 0 then
+            Engine.broadcast eng ~src:pid ~words:1 (e.Envelope.payload + 1))
+    done;
+    Engine.broadcast eng ~src:0 ~words:1 0;
+    Engine.corrupt_crash eng 7;
+    ignore (Engine.run eng ~until:(fun () -> false));
+    traces
+  in
+  match record [ 1_000_000; 3000; 1024; 7 ] with
+  | [ all; mid; exact; tiny ] ->
+      let events = Array.of_list (Trace.events all) in
+      let total = Array.length events in
+      Alcotest.(check bool) "the run outgrows the initial slots" true (total > 3000);
+      Alcotest.(check int) "nothing dropped at a large capacity" 0 (Trace.dropped all);
+      List.iter
+        (fun (t, cap) ->
+          Alcotest.(check int) (Printf.sprintf "length at %d" cap) cap (Trace.length t);
+          Alcotest.(check int) (Printf.sprintf "dropped at %d" cap) (total - cap) (Trace.dropped t);
+          Alcotest.(check bool)
+            (Printf.sprintf "capacity %d keeps the newest window" cap)
+            true
+            (Trace.events t = Array.to_list (Array.sub events (total - cap) cap)))
+        [ (mid, 3000); (exact, 1024); (tiny, 7) ]
+  | _ -> Alcotest.fail "four traces expected"
+
 let contains haystack needle =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
@@ -159,6 +196,7 @@ let suite =
     Alcotest.test_case "max depth" `Quick test_max_depth;
     Alcotest.test_case "fold matches events" `Quick test_fold_matches_events;
     Alcotest.test_case "fold after wraparound" `Quick test_fold_after_wraparound;
+    Alcotest.test_case "ring growth keeps the newest window" `Quick test_ring_growth_and_window;
     Alcotest.test_case "attach is passive" `Quick test_attach_does_not_change_execution;
     Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
   ]
