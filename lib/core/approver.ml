@@ -22,23 +22,24 @@ let pp_msg fmt = function
 
 type action = Broadcast of msg | Deliver of int list
 
-(* Run-shared validation memo.  A broadcast delivers the same physical
-   payload to all n destinations, so each table is keyed by (phase
-   string, sender) and guards its verdict with the message content it
-   validated: a physical-equality hit (the common case — one entry per
-   sender per run) skips re-verification outright, a byte-equal hit does
-   the same after one comparison, and anything else (a Byzantine sender
-   varying its message per destination) falls through to the full check.
-   Verdicts of both polarities are cached; validation is deterministic in
-   the bytes, so this changes no observable behaviour. *)
+(* Run-shared validation memo, one rank-indexed slot array per phase
+   string ({!Sample.Memo}).  A broadcast delivers the same physical
+   payload to all n destinations, so each slot guards its verdict with
+   the message content it validated: a physical-equality hit (the common
+   case — one entry per sender per run) skips re-verification outright, a
+   byte-equal hit does the same after one comparison, and anything else
+   (a Byzantine sender varying its message per destination) falls through
+   to the full check.  Verdicts of both polarities are cached; validation
+   is deterministic in the bytes, so this changes no observable
+   behaviour. *)
 type cache = {
-  c_init : (string * int, Sample.cert * bool) Hashtbl.t;
-  c_echo : (string * int, (Sample.cert * string) * bool) Hashtbl.t;
-  c_ok : (string * int, (int * Sample.cert * echo_evidence list) * bool) Hashtbl.t;
+  c_init : Sample.cert Sample.Memo.t;
+  c_echo : (Sample.cert * string) Sample.Memo.t;
+  c_ok : (int * Sample.cert * echo_evidence list) Sample.Memo.t;
 }
 
 let cache () =
-  { c_init = Hashtbl.create 64; c_echo = Hashtbl.create 256; c_ok = Hashtbl.create 64 }
+  { c_init = Sample.Memo.create (); c_echo = Sample.Memo.create (); c_ok = Sample.Memo.create () }
 
 (* Per-value receive bookkeeping.  Dedup sets are committee-rank bitsets
    (~lambda bits), not n-sized arrays: the senders a phase accepts are
@@ -48,12 +49,17 @@ type value_state = {
   vs_s_echo : string;
   vs_echo_payload : string;
   vs_echo_comm : Sample.Directory.comm;
+  vs_echo_memo : (Sample.cert * string) Sample.Memo.slot array;
   init_seen : Sim.Bitset.t;
   mutable init_count : int;
   mutable echoed : bool;
   echo_seen : Sim.Bitset.t;
   mutable echo_count : int;
-  mutable echo_evidence : echo_evidence list; (* newest first, capped at W *)
+  (* The first W accepted echoes in arrival order, min(echo_count, W) of
+     them: the support of an OK for this value.  Allocated at the first. *)
+  mutable ev_pid : int array;
+  mutable ev_cert : Sample.cert array;
+  mutable ev_sig : string array;
 }
 
 type t = {
@@ -67,6 +73,8 @@ type t = {
   s_ok : string;
   init_comm : Sample.Directory.comm;
   ok_comm : Sample.Directory.comm;
+  init_memo : Sample.cert Sample.Memo.slot array;
+  ok_memo : (int * Sample.cert * echo_evidence list) Sample.Memo.slot array;
   mutable values : (int * value_state) list;
       (* per-value receive state, sorted ascending by value: at most the
          two binary inputs plus bot ever appear, and a deterministic
@@ -77,7 +85,9 @@ type t = {
   mutable ok_sent : bool;
   ok_seen : Sim.Bitset.t;
   mutable ok_count : int;
-  mutable ok_values : int list;          (* values seen in valid OKs *)
+  mutable ok_values : int array;
+      (* values of valid OKs in arrival order, ok_count of them;
+         allocated at the first *)
   mutable delivered : int list option;
 }
 
@@ -114,13 +124,15 @@ let create ?dir ?cache:copt ~keyring ~params ~pid ~instance () =
     s_ok;
     init_comm;
     ok_comm;
+    init_memo = Sample.Memo.phase cache.c_init ~s:s_init init_comm;
+    ok_memo = Sample.Memo.phase cache.c_ok ~s:s_ok ok_comm;
     values = [];
     my_input = None;
     ok_cert = None;
     ok_sent = false;
     ok_seen = Sim.Bitset.create (Sample.Directory.size ok_comm);
     ok_count = 0;
-    ok_values = [];
+    ok_values = [||];
     delivered = None;
   }
 
@@ -128,27 +140,33 @@ let lambda t = t.params.Params.lambda
 let w t = t.params.Params.w
 let b t = t.params.Params.b
 
-let value_state t v =
-  match List.find_map (fun (v', s) -> if Int.equal v v' then Some s else None) t.values with
-  | Some s -> s
-  | None ->
-      let vs_s_echo = s_echo t v in
-      let vs_echo_comm = Sample.Directory.committee t.dir ~s:vs_s_echo in
-      let s =
-        {
-          vs_s_echo;
-          vs_echo_payload = echo_payload t v;
-          vs_echo_comm;
-          init_seen = Sim.Bitset.create (Sample.Directory.size t.init_comm);
-          init_count = 0;
-          echoed = false;
-          echo_seen = Sim.Bitset.create (Sample.Directory.size vs_echo_comm);
-          echo_count = 0;
-          echo_evidence = [];
-        }
-      in
-      t.values <- List.sort (fun (a, _) (b, _) -> Int.compare a b) ((v, s) :: t.values);
-      s
+let new_value_state t v =
+  let vs_s_echo = s_echo t v in
+  let vs_echo_comm = Sample.Directory.committee t.dir ~s:vs_s_echo in
+  let s =
+    {
+      vs_s_echo;
+      vs_echo_payload = echo_payload t v;
+      vs_echo_comm;
+      vs_echo_memo = Sample.Memo.phase t.cache.c_echo ~s:vs_s_echo vs_echo_comm;
+      init_seen = Sim.Bitset.create (Sample.Directory.size t.init_comm);
+      init_count = 0;
+      echoed = false;
+      echo_seen = Sim.Bitset.create (Sample.Directory.size vs_echo_comm);
+      echo_count = 0;
+      ev_pid = [||];
+      ev_cert = [||];
+      ev_sig = [||];
+    }
+  in
+  t.values <- List.sort (fun (a, _) (b, _) -> Int.compare a b) ((v, s) :: t.values);
+  s
+
+let rec find_value_state t v = function
+  | (v', s) :: rest -> if Int.equal v v' then s else find_value_state t v rest
+  | [] -> new_value_state t v
+
+let value_state t v = find_value_state t v t.values
 
 (* When the echo threshold for [v] fires and we sit on the OK committee and
    have not yet OK'd any value, broadcast ok(v) with the W-strong evidence. *)
@@ -156,8 +174,13 @@ let maybe_ok t v st =
   match t.ok_cert with
   | Some cert when (not t.ok_sent) && st.echo_count >= w t ->
       t.ok_sent <- true;
-      let support = List.filteri (fun i _ -> i < w t) (List.rev st.echo_evidence) in
-      [ Broadcast (Ok { v; cert; support }) ]
+      let rec support i =
+        if i < w t then
+          { pid = st.ev_pid.(i); cert = st.ev_cert.(i); signature = st.ev_sig.(i) }
+          :: support (i + 1)
+        else []
+      in
+      [ Broadcast (Ok { v; cert; support = support 0 }) ]
   | Some _ | None -> []
 
 let input t v =
@@ -193,33 +216,29 @@ let maybe_echo t v st =
     end
   end
 
-let same_cert (c : Sample.cert) (k : Sample.cert) =
-  c == k
-  || (c.Sample.member = k.Sample.member
-     && String.equal c.Sample.vrf.Vrf.beta k.Sample.vrf.Vrf.beta
-     && String.equal c.Sample.vrf.Vrf.proof k.Sample.vrf.Vrf.proof)
-
-let valid_init t src cert =
-  let key = (t.s_init, src) in
-  match Hashtbl.find_opt t.cache.c_init key with
-  | Some (kc, verdict) when same_cert cert kc -> verdict
-  | Some _ | None ->
+(* The validators below take the sender's (or support entry's) rank in
+   the phase committee, already checked [>= 0]: a non-member has no valid
+   certificate (VRF uniqueness), so its verdict is [false] without a
+   memo slot. *)
+let valid_init t r src cert =
+  match t.init_memo.(r) with
+  | Sample.Memo.Verdict { key; ok } when Sample.same_cert cert key -> ok
+  | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
       let ok = Sample.committee_val t.keyring ~s:t.s_init ~lambda:(lambda t) ~pid:src cert in
-      Hashtbl.replace t.cache.c_init key (cert, ok);
+      t.init_memo.(r) <- Sample.Memo.Verdict { key = cert; ok };
       ok
 
-let valid_echo_evidence t st pid cert signature =
-  let key = (st.vs_s_echo, pid) in
-  match Hashtbl.find_opt t.cache.c_echo key with
-  | Some ((kc, ks), verdict) when same_cert cert kc && (signature == ks || String.equal signature ks)
-    ->
-      verdict
-  | Some _ | None ->
+let valid_echo t st r pid cert signature =
+  match st.vs_echo_memo.(r) with
+  | Sample.Memo.Verdict { key = kc, ks; ok }
+    when Sample.same_cert cert kc && (signature == ks || String.equal signature ks) ->
+      ok
+  | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
       let ok =
         Sample.committee_val t.keyring ~s:st.vs_s_echo ~lambda:(lambda t) ~pid cert
         && Vrf.Keyring.verify_sig t.keyring ~signer:pid st.vs_echo_payload signature
       in
-      Hashtbl.replace t.cache.c_echo key ((cert, signature), ok);
+      st.vs_echo_memo.(r) <- Sample.Memo.Verdict { key = (cert, signature); ok };
       ok
 
 let valid_ok_support t st support =
@@ -227,35 +246,54 @@ let valid_ok_support t st support =
      valid signature on the echo payload. *)
   List.length support = w t
   &&
-  let seen = Hashtbl.create (w t) in
+  let seen = Sim.Bitset.create (Sample.Directory.size st.vs_echo_comm) in
   List.for_all
     (fun { pid; cert; signature } ->
-      (not (Hashtbl.mem seen pid))
-      && begin
-           Hashtbl.replace seen pid ();
-           valid_echo_evidence t st pid cert signature
-         end)
+      let r = Sample.Directory.rank st.vs_echo_comm pid in
+      r >= 0 && (not (Sim.Bitset.test_and_set seen r)) && valid_echo t st r pid cert signature)
     support
 
-let valid_ok t src v cert support =
-  let key = (t.s_ok, src) in
-  match Hashtbl.find_opt t.cache.c_ok key with
-  | Some ((kv, kc, ksup), verdict) when Int.equal kv v && kc == cert && ksup == support -> verdict
-  | Some _ | None ->
+let valid_ok t r src v cert support =
+  match t.ok_memo.(r) with
+  | Sample.Memo.Verdict { key = kv, kc, ksup; ok }
+    when Int.equal kv v && kc == cert && ksup == support ->
+      ok
+  | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
       let st = value_state t v in
       let ok =
         Sample.committee_val t.keyring ~s:t.s_ok ~lambda:(lambda t) ~pid:src cert
         && valid_ok_support t st support
       in
-      Hashtbl.replace t.cache.c_ok key ((v, cert, support), ok);
+      t.ok_memo.(r) <- Sample.Memo.Verdict { key = (v, cert, support); ok };
       ok
+
+(* Bank the [echo_count]-th accepted echo, for [echo_count <= W]. *)
+let keep_echo t st pid cert signature =
+  let i = st.echo_count - 1 in
+  if i = 0 then begin
+    st.ev_pid <- Array.make (w t) pid;
+    st.ev_cert <- Array.make (w t) cert;
+    st.ev_sig <- Array.make (w t) signature
+  end;
+  st.ev_pid.(i) <- pid;
+  st.ev_cert.(i) <- cert;
+  st.ev_sig.(i) <- signature
+
+let keep_ok_value t v =
+  if t.ok_count = 0 then t.ok_values <- Array.make (Sample.Directory.size t.ok_comm) v;
+  t.ok_values.(t.ok_count) <- v;
+  t.ok_count <- t.ok_count + 1
+
+let ok_value_set t =
+  let rec go i acc = if i < 0 then acc else go (i - 1) (t.ok_values.(i) :: acc) in
+  List.sort_uniq Int.compare (go (t.ok_count - 1) [])
 
 let handle t ~src msg =
   match msg with
   | Init { v; cert } ->
       let st = value_state t v in
       let r = Sample.Directory.rank t.init_comm src in
-      if r < 0 || Sim.Bitset.mem st.init_seen r || not (valid_init t src cert) then []
+      if r < 0 || Sim.Bitset.mem st.init_seen r || not (valid_init t r src cert) then []
       else begin
         Sim.Bitset.add st.init_seen r;
         st.init_count <- st.init_count + 1;
@@ -264,27 +302,24 @@ let handle t ~src msg =
   | Echo { v; cert; signature } ->
       let st = value_state t v in
       let r = Sample.Directory.rank st.vs_echo_comm src in
-      if r < 0 || Sim.Bitset.mem st.echo_seen r
-         || not (valid_echo_evidence t st src cert signature)
+      if r < 0 || Sim.Bitset.mem st.echo_seen r || not (valid_echo t st r src cert signature)
       then []
       else begin
         Sim.Bitset.add st.echo_seen r;
         st.echo_count <- st.echo_count + 1;
         (* OK support only ever carries the first W echoes, so later
            evidence need not be retained. *)
-        if st.echo_count <= w t then
-          st.echo_evidence <- { pid = src; cert; signature } :: st.echo_evidence;
+        if st.echo_count <= w t then keep_echo t st src cert signature;
         maybe_ok t v st
       end
   | Ok { v; cert; support } ->
       let r = Sample.Directory.rank t.ok_comm src in
-      if r < 0 || Sim.Bitset.mem t.ok_seen r || not (valid_ok t src v cert support) then []
+      if r < 0 || Sim.Bitset.mem t.ok_seen r || not (valid_ok t r src v cert support) then []
       else begin
         Sim.Bitset.add t.ok_seen r;
-        t.ok_count <- t.ok_count + 1;
-        t.ok_values <- v :: t.ok_values;
-        if t.ok_count = w t && t.delivered = None then begin
-          let set = List.sort_uniq Int.compare t.ok_values in
+        keep_ok_value t v;
+        if t.ok_count = w t && Option.is_none t.delivered then begin
+          let set = ok_value_set t in
           t.delivered <- Some set;
           [ Deliver set ]
         end
@@ -303,6 +338,9 @@ let clone_value_state vs =
     vs with
     init_seen = Sim.Bitset.copy vs.init_seen;
     echo_seen = Sim.Bitset.copy vs.echo_seen;
+    ev_pid = Array.copy vs.ev_pid;
+    ev_cert = Array.copy vs.ev_cert;
+    ev_sig = Array.copy vs.ev_sig;
   }
 
 let clone t =
@@ -310,6 +348,7 @@ let clone t =
     t with
     values = List.map (fun (v, vs) -> (v, clone_value_state vs)) t.values;
     ok_seen = Sim.Bitset.copy t.ok_seen;
+    ok_values = Array.copy t.ok_values;
   }
 
 let enc_int buf i =
@@ -325,12 +364,15 @@ let encode buf t =
      canonical without extra work.  Certificates and signatures are
      deterministic functions of (keyring, instance, pid) and need no
      bytes here; evidence order matters (OK support carries the first W
-     echoes) so the pid sequence is encoded as-is. *)
+     echoes) so the pid sequence is encoded, newest first, as are the OK
+     values. *)
   (match t.my_input with None -> enc_int buf (-2) | Some v -> enc_int buf v);
   Buffer.add_char buf (if t.ok_sent then 'K' else 'k');
   enc_bits buf t.ok_seen;
   enc_int buf t.ok_count;
-  List.iter (enc_int buf) t.ok_values;
+  for i = t.ok_count - 1 downto 0 do
+    enc_int buf t.ok_values.(i)
+  done;
   Buffer.add_char buf '|';
   (match t.delivered with
   | None -> enc_int buf (-2)
@@ -345,6 +387,8 @@ let encode buf t =
       Buffer.add_char buf (if vs.echoed then 'E' else 'e');
       enc_bits buf vs.echo_seen;
       enc_int buf vs.echo_count;
-      List.iter (fun (ev : echo_evidence) -> enc_int buf ev.pid) vs.echo_evidence;
+      for i = Int.min vs.echo_count (w t) - 1 downto 0 do
+        enc_int buf vs.ev_pid.(i)
+      done;
       Buffer.add_char buf '|')
     t.values

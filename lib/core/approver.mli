@@ -47,13 +47,20 @@ type action =
 type t
 
 type cache
-(** Run-shared validation memo: committee-certificate and echo-signature
-    verdicts keyed by (phase string, sender), guarded by the message
-    content they validated (physical equality first — a broadcast shares
-    one payload across all n deliveries — then byte comparison, full
-    re-verification on any mismatch).  Sharing one cache across a run's
-    n instances collapses the O(W) per-delivery support re-verification
-    to an O(1) lookup without weakening validation. *)
+(** Run-shared validation memo ({!Sample.Memo}): committee-certificate
+    and echo-signature verdicts in one array per phase string, one slot
+    per committee member by {!Sample.Directory.rank}.  An instance
+    resolves its INIT and OK arrays when it is created and a value's ECHO
+    array when it first sees the value, so a delivery reads one slot
+    without hashing.  An OK's support entries use the ECHO slots of their
+    pids.  Each slot is guarded by the message content it validated
+    (physical equality first — a broadcast shares one payload across all
+    n deliveries — then byte comparison, full re-verification on any
+    mismatch); a sender outside the committee, or a pid outside
+    [[0, n)], has no valid certificate and gets no slot.  Sharing one
+    cache across a run's n instances collapses the O(W) per-delivery
+    support re-verification to an O(1) lookup without weakening
+    validation. *)
 
 val cache : unit -> cache
 

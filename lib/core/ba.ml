@@ -59,13 +59,24 @@ let make_ctx ~keyring ~params () =
     ccache = Whp_coin.cache ();
   }
 
+(* Round states by round number.  Any int is a key, since a Byzantine
+   message may name any round (no per-sender round budget exists yet),
+   and the hash is the number itself, so a lookup hashes and compares
+   nothing polymorphic. *)
+module Rounds = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash r = r land max_int
+end)
+
 type t = {
   keyring : Vrf.Keyring.t;
   params : Params.t;
   pid : int;
   instance : string;
   ctx : ctx;
-  rounds : (int, round_state) Hashtbl.t;
+  rounds : round_state Rounds.t;
   mutable est : int;
   mutable started : bool;
   mutable round : int;            (* the round we are actively executing *)
@@ -81,7 +92,7 @@ let create ?ctx ~keyring ~params ~pid ~instance () =
     pid;
     instance;
     ctx;
-    rounds = Hashtbl.create 8;
+    rounds = Rounds.create 8;
     est = 0;
     started = false;
     round = 0;
@@ -90,9 +101,9 @@ let create ?ctx ~keyring ~params ~pid ~instance () =
   }
 
 let round_state t r =
-  match Hashtbl.find_opt t.rounds r with
-  | Some st -> st
-  | None ->
+  match Rounds.find t.rounds r with
+  | st -> st
+  | exception Not_found ->
       let mk tag = Printf.sprintf "%s/r%d/%s" t.instance r tag in
       let st =
         {
@@ -111,26 +122,34 @@ let round_state t r =
           completed = false;
         }
       in
-      Hashtbl.replace t.rounds r st;
+      Rounds.replace t.rounds r st;
       st
 
-let wrap_a1 r acts =
-  List.map (function Approver.Broadcast m -> Broadcast (A1 { round = r; inner = m }) | Approver.Deliver _ -> assert false)
-    (List.filter (function Approver.Deliver _ -> false | Approver.Broadcast _ -> true) acts)
+(* Direct recursion, so a step that emits nothing allocates nothing. *)
+let rec wrap_a1 r = function
+  | [] -> []
+  | Approver.Broadcast m :: rest -> Broadcast (A1 { round = r; inner = m }) :: wrap_a1 r rest
+  | Approver.Deliver _ :: rest -> wrap_a1 r rest
 
-let wrap_a2 r acts =
-  List.map (function Approver.Broadcast m -> Broadcast (A2 { round = r; inner = m }) | Approver.Deliver _ -> assert false)
-    (List.filter (function Approver.Deliver _ -> false | Approver.Broadcast _ -> true) acts)
+let rec wrap_a2 r = function
+  | [] -> []
+  | Approver.Broadcast m :: rest -> Broadcast (A2 { round = r; inner = m }) :: wrap_a2 r rest
+  | Approver.Deliver _ :: rest -> wrap_a2 r rest
 
-let wrap_coin r acts =
-  List.map (function Whp_coin.Broadcast m -> Broadcast (Cn { round = r; inner = m }) | Whp_coin.Return _ -> assert false)
-    (List.filter (function Whp_coin.Return _ -> false | Whp_coin.Broadcast _ -> true) acts)
+let rec wrap_coin r = function
+  | [] -> []
+  | Whp_coin.Broadcast m :: rest -> Broadcast (Cn { round = r; inner = m }) :: wrap_coin r rest
+  | Whp_coin.Return _ :: rest -> wrap_coin r rest
 
-let deliver_of_a acts =
-  List.find_map (function Approver.Deliver vs -> Some vs | Approver.Broadcast _ -> None) acts
+let rec delivers = function
+  | [] -> false
+  | Approver.Deliver _ :: _ -> true
+  | Approver.Broadcast _ :: rest -> delivers rest
 
-let return_of_coin acts =
-  List.find_map (function Whp_coin.Return b -> Some b | Whp_coin.Broadcast _ -> None) acts
+let rec returns = function
+  | [] -> false
+  | Whp_coin.Return _ :: _ -> true
+  | Whp_coin.Broadcast _ :: rest -> returns rest
 
 (* A decided process keeps initiating rounds through decided_round + 1 so
    that every other correct process can reach its own decision (Lemma 6.16:
@@ -176,7 +195,7 @@ let rec advance t r : action list =
           | [ v ], [ _ ] ->
               (* props = {v}, v <> bot: decide. *)
               t.est <- v;
-              if t.decision = None then begin
+              if Option.is_none t.decision then begin
                 t.decision <- Some v;
                 t.decided_round <- Some r;
                 [ Decide v ]
@@ -224,17 +243,17 @@ let handle t ~src msg =
       let st = round_state t r in
       let acts = Approver.handle st.a1 ~src inner in
       let wrapped = wrap_a1 r acts in
-      (match deliver_of_a acts with Some _ -> wrapped @ advance t r | None -> wrapped)
+      if delivers acts then wrapped @ advance t r else wrapped
   | A2 { round = r; inner } ->
       let st = round_state t r in
       let acts = Approver.handle st.a2 ~src inner in
       let wrapped = wrap_a2 r acts in
-      (match deliver_of_a acts with Some _ -> wrapped @ advance t r | None -> wrapped)
+      if delivers acts then wrapped @ advance t r else wrapped
   | Cn { round = r; inner } ->
       let st = round_state t r in
       let acts = Whp_coin.handle st.coin ~src inner in
       let wrapped = wrap_coin r acts in
-      (match return_of_coin acts with Some _ -> wrapped @ advance t r | None -> wrapped)
+      if returns acts then wrapped @ advance t r else wrapped
 
 let decision t = t.decision
 let decided_round t = t.decided_round

@@ -28,13 +28,15 @@ let pp_outcome fmt o =
 (* Perform the action lists coming out of a state machine: broadcasts go to
    the wire; other effects are recorded by the caller-provided sink.
    Actions can cascade (a broadcast delivered to self later triggers more),
-   but the engine mediates all of that — here we only emit. *)
-let perform_ba eng pid actions =
-  List.iter
-    (function
-      | Ba.Broadcast m -> Sim.Engine.broadcast eng ~src:pid ~words:(Ba.words_of_msg m) m
-      | Ba.Decide _ -> ())
-    actions
+   but the engine mediates all of that — here we only emit.  Direct
+   recursion: this runs once per delivery, and an empty list must cost no
+   closure. *)
+let rec perform_ba eng pid = function
+  | [] -> ()
+  | Ba.Broadcast m :: rest ->
+      Sim.Engine.broadcast eng ~src:pid ~words:(Ba.words_of_msg m) m;
+      perform_ba eng pid rest
+  | Ba.Decide _ :: rest -> perform_ba eng pid rest
 
 let apply_corruption eng rng = function
   | Honest -> ()
@@ -75,7 +77,7 @@ let run_ba ?scheduler ?expand ?probe ?(corruption = Honest) ?max_steps ~keyring 
   (* Amortized-O(1) termination check: the naive [correct_pids] scan is
      O(n) per delivery, which at n = 10^4 dwarfs the protocol itself. *)
   let all_correct_decided =
-    Sim.Engine.all_correct_monotone eng (fun pid -> Ba.decision procs.(pid) <> None)
+    Sim.Engine.all_correct_monotone eng (fun pid -> Option.is_some (Ba.decision procs.(pid)))
   in
   let result = Sim.Engine.run ?max_steps eng ~until:all_correct_decided in
   let decisions =
@@ -160,7 +162,7 @@ let run_shared_coin ?scheduler ?expand ?probe ?(pre_corrupt = []) ?corrupt_engin
   Array.iteri
     (fun pid p -> if Sim.Engine.is_correct eng pid then perform pid (Coin.start p))
     procs;
-  let all_returned = Sim.Engine.all_correct_monotone eng (fun pid -> outputs.(pid) <> None) in
+  let all_returned = Sim.Engine.all_correct_monotone eng (fun pid -> Option.is_some outputs.(pid)) in
   let result = Sim.Engine.run eng ~until:all_returned in
   coin_outcome_of eng outputs result
 
@@ -192,7 +194,7 @@ let run_whp_coin ?scheduler ?expand ?probe ?(pre_corrupt = []) ?corrupt_engine ~
   Array.iteri
     (fun pid p -> if Sim.Engine.is_correct eng pid then perform pid (Whp_coin.start p))
     procs;
-  let all_returned = Sim.Engine.all_correct_monotone eng (fun pid -> outputs.(pid) <> None) in
+  let all_returned = Sim.Engine.all_correct_monotone eng (fun pid -> Option.is_some outputs.(pid)) in
   let result = Sim.Engine.run eng ~until:all_returned in
   coin_outcome_of eng outputs result
 
@@ -232,7 +234,7 @@ let run_approver ?scheduler ?expand ?probe ?(pre_corrupt = []) ~keyring ~params 
     (fun pid p ->
       if Sim.Engine.is_correct eng pid then perform pid (Approver.input p inputs.(pid)))
     procs;
-  let all_returned = Sim.Engine.all_correct_monotone eng (fun pid -> returned.(pid) <> None) in
+  let all_returned = Sim.Engine.all_correct_monotone eng (fun pid -> Option.is_some returned.(pid)) in
   let result = Sim.Engine.run eng ~until:all_returned in
   let rets =
     List.filter_map

@@ -23,9 +23,20 @@ let sample kr ~pid ~s ~lambda =
   { member = member_of_beta ~n ~lambda vrf.Vrf.beta; vrf }
 
 let committee_val kr ~s ~lambda ~pid cert =
-  cert.member
+  (* A pid outside [0, n) names no process, so no certificate proves it a
+     member; Byzantine messages carry such pids in OK support entries and
+     SECOND value origins. *)
+  pid >= 0
+  && pid < Vrf.Keyring.n kr
+  && cert.member
   && Vrf.Keyring.verify kr ~signer:pid (alpha s) cert.vrf
   && member_of_beta ~n:(Vrf.Keyring.n kr) ~lambda cert.vrf.Vrf.beta
+
+let same_cert c k =
+  c == k
+  || (Bool.equal c.member k.member
+     && String.equal c.vrf.Vrf.beta k.vrf.Vrf.beta
+     && String.equal c.vrf.Vrf.proof k.vrf.Vrf.proof)
 
 let committee kr ~s ~lambda =
   let n = Vrf.Keyring.n kr in
@@ -65,6 +76,29 @@ module Directory = struct
 
   let size c = c.size
   let mem c pid = Sim.Bitset.mem c.bits pid
-  let rank c pid = Sim.Bitset.rank_with c.bits c.prefix pid
+
+  let rank c pid =
+    if pid < 0 || pid >= Sim.Bitset.length c.bits then -1
+    else Sim.Bitset.rank_with c.bits c.prefix pid
+
   let members c = Sim.Bitset.to_list c.bits
+end
+
+module Memo = struct
+  type 'k slot = Unset | Verdict of { key : 'k; ok : bool }
+  type 'k t = (string, 'k slot array) Hashtbl.t
+
+  let create () : 'k t = Hashtbl.create 64
+
+  let phase t ~s comm =
+    let size = Directory.size comm in
+    match Hashtbl.find_opt t s with
+    | Some slots ->
+        if Array.length slots <> size then
+          invalid_arg "Sample.Memo.phase: cache shared across different committees";
+        slots
+    | None ->
+        let slots = Array.make size Unset in
+        Hashtbl.replace t s slots;
+        slots
 end

@@ -24,7 +24,12 @@ val sample : Vrf.Keyring.t -> pid:int -> s:string -> lambda:int -> cert
 val committee_val : Vrf.Keyring.t -> s:string -> lambda:int -> pid:int -> cert -> bool
 (** The public function [committee-val(s, lambda, i, sigma)]: [true] iff
     the certificate is a valid proof that [pid] is in [C(s, lambda)].
-    A certificate with [member = false] or a bad proof yields [false]. *)
+    A certificate with [member = false] or a bad proof yields [false], and
+    so does a [pid] outside [[0, n)]. *)
+
+val same_cert : cert -> cert -> bool
+(** Physical equality, else byte equality of the claim and the VRF
+    output: the guard a memoized verdict is replayed under. *)
 
 val committee : Vrf.Keyring.t -> s:string -> lambda:int -> int list
 (** Omniscient view (analysis/tests only): the full membership of
@@ -66,9 +71,34 @@ module Directory : sig
   val mem : comm -> int -> bool
 
   val rank : comm -> int -> int
-  (** Dense index of a member in pid order, [-1] for non-members — the
-      key for committee-rank dedup bitsets. *)
+  (** Dense index of a member in pid order, [-1] for non-members and for
+      pids outside [[0, n)] — the key for committee-rank dedup bitsets
+      and validation memos. *)
 
   val members : comm -> int list
   (** Ascending pids (analysis/tests). *)
+end
+
+(** Rank-indexed validation memos, shared by a run's n protocol instances.
+
+    A phase's verdicts live in one array with a slot per committee member,
+    indexed by {!Directory.rank}.  An instance resolves its phases' arrays
+    once, when it is created, so a delivery reads its slot with no
+    hashing.  Each slot keeps the content its verdict was computed for;
+    callers replay the verdict only when the content they hold is that
+    content (physical equality first, then bytes) and re-verify
+    otherwise. *)
+module Memo : sig
+  type 'k slot = Unset | Verdict of { key : 'k; ok : bool }
+
+  type 'k t
+  (** Phase string to that phase's slots. *)
+
+  val create : unit -> 'k t
+
+  val phase : 'k t -> s:string -> Directory.comm -> 'k slot array
+  (** The slots of phase [s], whose committee is [comm]: created [Unset]
+      on first request, then shared.  [Invalid_argument] if an earlier
+      request for [s] came with a committee of a different size (a memo
+      shared across runs with different keyrings or lambdas). *)
 end

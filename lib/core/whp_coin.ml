@@ -20,26 +20,26 @@ let pp_msg fmt m =
 type action = Broadcast of msg | Return of int
 
 (* Run-shared validation memo, same discipline as {!Approver.cache}:
-   verdicts keyed by (phase string, origin/sender), guarded by the
-   physical message content they validated; any mismatch (a Byzantine
-   sender varying the payload per destination) re-verifies in full. *)
-type cache = {
-  c_value : (string * int, value * bool) Hashtbl.t;      (* keyed (alpha, origin) *)
-  c_second : (string * int, Sample.cert * bool) Hashtbl.t;
-}
+   rank-indexed slots per phase ({!Sample.Memo}), each guarding its
+   verdict with the message content it validated; any mismatch (a
+   Byzantine sender varying the payload per destination) re-verifies in
+   full.  Values sit at their origin's FIRST-committee rank, SECOND
+   certificates at the sender's SECOND-committee rank. *)
+type cache = { c_value : value Sample.Memo.t; c_second : Sample.cert Sample.Memo.t }
 
-let cache () = { c_value = Hashtbl.create 64; c_second = Hashtbl.create 64 }
+let cache () = { c_value = Sample.Memo.create (); c_second = Sample.Memo.create () }
 
 type t = {
   keyring : Vrf.Keyring.t;
   params : Params.t;
   pid : int;
-  cache : cache;
   alpha : string;             (* VRF input generating coin values *)
   s_first : string;           (* sampling string of C(FIRST) *)
   s_second : string;
   first_comm : Sample.Directory.comm;
   second_comm : Sample.Directory.comm;
+  value_memo : value Sample.Memo.slot array;       (* FIRST-committee ranks *)
+  second_memo : Sample.cert Sample.Memo.slot array; (* SECOND-committee ranks *)
   mutable v : value option;
   first_seen : Sim.Bitset.t;  (* FIRST-committee ranks *)
   mutable first_count : int;
@@ -71,16 +71,18 @@ let create ?dir ?cache:copt ~keyring ~params ~pid ~instance ~round () =
   let s_second = second_committee_string ~instance ~round in
   let first_comm = Sample.Directory.committee dir ~s:s_first in
   let second_comm = Sample.Directory.committee dir ~s:s_second in
+  let alpha = coin_alpha ~instance ~round in
   {
     keyring;
     params;
     pid;
-    cache;
-    alpha = coin_alpha ~instance ~round;
+    alpha;
     s_first;
     s_second;
     first_comm;
     second_comm;
+    value_memo = Sample.Memo.phase cache.c_value ~s:alpha first_comm;
+    second_memo = Sample.Memo.phase cache.c_second ~s:s_second second_comm;
     v = None;
     first_seen = Sim.Bitset.create (Sample.Directory.size first_comm);
     first_count = 0;
@@ -134,44 +136,40 @@ let start t =
     first_acts @ maybe_send_second t
   end
 
-let same_cert (c : Sample.cert) (k : Sample.cert) =
-  c == k
-  || (c.Sample.member = k.Sample.member
-     && String.equal c.Sample.vrf.Vrf.beta k.Sample.vrf.Vrf.beta
-     && String.equal c.Sample.vrf.Vrf.proof k.Sample.vrf.Vrf.proof)
-
 let same_value (a : value) (b : value) =
   a == b
   || (Int.equal a.origin b.origin
      && String.equal a.out.Vrf.beta b.out.Vrf.beta
      && String.equal a.out.Vrf.proof b.out.Vrf.proof
-     && same_cert a.origin_cert b.origin_cert)
+     && Sample.same_cert a.origin_cert b.origin_cert)
 
 (* A value is valid when its origin is a certified FIRST-committee member
-   and the carried VRF output really is VRF_origin(alpha).  Memoized per
-   origin in the run-shared cache: FIRST values are re-broadcast inside
-   every SECOND message, so each distinct value is verified once per run
-   instead of once per delivery. *)
-let valid_value t value =
-  let key = (t.alpha, value.origin) in
-  match Hashtbl.find_opt t.cache.c_value key with
-  | Some (kv, verdict) when same_value value kv -> verdict
-  | Some _ | None ->
+   and the carried VRF output really is VRF_origin(alpha).  Memoized at
+   the origin's FIRST-committee rank [r] in the run-shared cache: FIRST
+   values are re-broadcast inside every SECOND message, so each distinct
+   value is verified once per run instead of once per delivery.  An
+   origin outside the committee (rank -1, or no process at all) has no
+   valid certificate. *)
+let valid_value t r value =
+  r >= 0
+  &&
+  match t.value_memo.(r) with
+  | Sample.Memo.Verdict { key; ok } when same_value value key -> ok
+  | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
       let ok =
         Sample.committee_val t.keyring ~s:t.s_first ~lambda:(lambda t) ~pid:value.origin
           value.origin_cert
         && Vrf.Keyring.verify t.keyring ~signer:value.origin t.alpha value.out
       in
-      Hashtbl.replace t.cache.c_value key (value, ok);
+      t.value_memo.(r) <- Sample.Memo.Verdict { key = value; ok };
       ok
 
-let valid_second t src cert =
-  let key = (t.s_second, src) in
-  match Hashtbl.find_opt t.cache.c_second key with
-  | Some (kc, verdict) when same_cert cert kc -> verdict
-  | Some _ | None ->
+let valid_second t r src cert =
+  match t.second_memo.(r) with
+  | Sample.Memo.Verdict { key; ok } when Sample.same_cert cert key -> ok
+  | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
       let ok = Sample.committee_val t.keyring ~s:t.s_second ~lambda:(lambda t) ~pid:src cert in
-      Hashtbl.replace t.cache.c_second key (cert, ok);
+      t.second_memo.(r) <- Sample.Memo.Verdict { key = cert; ok };
       ok
 
 let adopt_min t value =
@@ -184,7 +182,7 @@ let handle t ~src msg =
   | First { value } ->
       let r = Sample.Directory.rank t.first_comm src in
       if value.origin <> src || r < 0 || Sim.Bitset.mem t.first_seen r
-         || not (valid_value t value)
+         || not (valid_value t r value)
       then []
       else begin
         Sim.Bitset.add t.first_seen r;
@@ -195,14 +193,14 @@ let handle t ~src msg =
       end
   | Second { value; cert } ->
       let r = Sample.Directory.rank t.second_comm src in
-      if r < 0 || Sim.Bitset.mem t.second_seen r || not (valid_second t src cert)
-         || not (valid_value t value)
+      if r < 0 || Sim.Bitset.mem t.second_seen r || not (valid_second t r src cert)
+         || not (valid_value t (Sample.Directory.rank t.first_comm value.origin) value)
       then []
       else begin
         Sim.Bitset.add t.second_seen r;
         t.second_count <- t.second_count + 1;
         adopt_min t value;
-        if t.second_count >= w t && t.result = None then begin
+        if t.second_count >= w t && Option.is_none t.result then begin
           match t.v with
           | None -> assert false
           | Some v ->

@@ -39,10 +39,13 @@ type t
 
 type cache
 (** Run-shared validation memo (same discipline as {!Approver.cache}):
-    value and SECOND-certificate verdicts keyed by (phase string,
-    origin/sender), guarded by the message content they validated —
-    physical-equality hit first, byte comparison second, full
-    re-verification on mismatch. *)
+    value verdicts at the origin's FIRST-committee rank and
+    SECOND-certificate verdicts at the sender's SECOND-committee rank,
+    resolved per instance at [create], each guarded by the message
+    content it validated — physical-equality hit first, byte comparison
+    second, full re-verification on mismatch.  A FIRST and a SECOND
+    carrying the same origin share its slot; an origin outside the FIRST
+    committee, or outside [[0, n)], is invalid without one. *)
 
 val cache : unit -> cache
 

@@ -10,15 +10,31 @@ let pad key byte =
     key;
   Bytes.unsafe_to_string b
 
-let sha256_list ~key parts =
-  let key = normalize_key key in
-  let inner = Sha256.init () in
-  Sha256.update inner (pad key 0x36);
+(* RFC 2104 section 4: the padded key blocks are absorbed once, and each
+   tag resumes from the two chaining values, so a short message costs two
+   compressions instead of four. *)
+type key = { inner : Sha256.midstate; outer : Sha256.midstate }
+
+let key raw =
+  let raw = normalize_key raw in
+  let absorb byte =
+    let ctx = Sha256.init () in
+    Sha256.update ctx (pad raw byte);
+    Sha256.midstate ctx
+  in
+  { inner = absorb 0x36; outer = absorb 0x5c }
+
+let mac_list k parts =
+  let inner = Sha256.resume k.inner in
   List.iter (Sha256.update inner) parts;
   let inner_digest = Sha256.finalize inner in
-  Sha256.digest_list [ pad key 0x5c; inner_digest ]
+  let outer = Sha256.resume k.outer in
+  Sha256.update outer inner_digest;
+  Sha256.finalize outer
 
-let sha256 ~key msg = sha256_list ~key [ msg ]
+let mac k msg = mac_list k [ msg ]
+let sha256_list ~key:raw parts = mac_list (key raw) parts
+let sha256 ~key:raw msg = mac (key raw) msg
 
 let equal a b =
   String.length a = String.length b

@@ -114,6 +114,18 @@ let update_bytes ctx b off len =
 
 let update ctx s = update_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
+(* A chaining-value snapshot taken at a block boundary: the state after
+   whole blocks only, so resuming it needs no buffered bytes.  Immutable:
+   [resume] copies the words into a fresh context. *)
+type midstate = { mh : int array; mtotal : int }
+
+let midstate ctx =
+  if ctx.buf_len <> 0 then invalid_arg "Sha256.midstate: not at a block boundary";
+  { mh = Array.copy ctx.h; mtotal = ctx.total }
+
+let resume m =
+  { h = Array.copy m.mh; buf = Bytes.create 64; buf_len = 0; total = m.mtotal; w = Array.make 64 0 }
+
 let finalize ctx =
   let bit_len = ctx.total * 8 in
   (* Padding: 0x80, zeros, 64-bit big-endian length. *)

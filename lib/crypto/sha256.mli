@@ -16,6 +16,19 @@ val update : ctx -> string -> unit
 val update_bytes : ctx -> bytes -> int -> int -> unit
 (** [update_bytes ctx b off len] absorbs a slice of [b]. *)
 
+type midstate
+(** The chaining value after a whole number of 64-byte blocks — what
+    HMAC precomputes for its padded key blocks (RFC 2104 section 4).
+    Immutable: every {!resume} starts from a copy. *)
+
+val midstate : ctx -> midstate
+(** Snapshot of [ctx], which must have absorbed a multiple of 64 bytes
+    ([Invalid_argument] otherwise).  [ctx] stays usable. *)
+
+val resume : midstate -> ctx
+(** A fresh context that continues from the snapshot: absorbing [s] into
+    [resume (midstate c)] hashes what absorbing [s] into [c] would. *)
+
 val finalize : ctx -> string
 (** [finalize ctx] returns the 32-byte digest.  The context must not be used
     afterwards. *)

@@ -22,8 +22,10 @@
    comparator closure costs an indirect call plus a [Float.compare] per
    comparison.  Keys are distinct (dst is unique within a broadcast), so
    value-pivot Hoare partitioning needs no equal-key handling; recursing
-   on the smaller half bounds the stack. *)
-let quicksort times dsts lo0 hi0 =
+   on the smaller half bounds the stack.  The annotations matter: an
+   unannotated pair generalises to ['a array], and every comparison then
+   goes through the polymorphic C compare on a boxed float. *)
+let quicksort (times : float array) (dsts : int array) lo0 hi0 =
   let swap i j =
     let tt = times.(i) in
     times.(i) <- times.(j);
@@ -103,7 +105,7 @@ let draw_buffer s len =
 (* Budgeted insertion pass over the scattered array: returns false (leaving
    the array permuted but element-complete) when the disorder exceeds
    [32 * len] shifts, i.e. the bucketing failed to spread the input. *)
-let insertion_within_budget times dsts len =
+let insertion_within_budget (times : float array) (dsts : int array) len =
   let budget = ref (32 * len) in
   let i = ref 1 in
   let ok = ref true in

@@ -240,11 +240,12 @@ let b_alloc t =
     s
   end
 
+(* A released slot keeps its [times]/[order] pair: every broadcast has
+   exactly n destinations, so the next broadcast in the slot refills the
+   same arrays instead of allocating 2n words. *)
 let b_release t s =
   let b = t.bcast in
   b.b_payload.(s) <- None;
-  b.b_times.(s) <- [||];
-  b.b_order.(s) <- [||];
   if b.b_nfree = Array.length b.b_free then b.b_free <- grow_int b.b_free b.b_nfree;
   b.b_free.(b.b_nfree) <- s;
   b.b_nfree <- b.b_nfree + 1
@@ -260,6 +261,15 @@ let rec fire_meta observers ~src ~id ~dst ~count ~words ~depth ~correct m =
   | obs :: rest ->
       obs ~src ~id ~dst ~count ~words ~depth ~correct m;
       fire_meta rest ~src ~id ~dst ~count ~words ~depth ~correct m
+
+(* The same for envelope observers: a [List.iter] closure over the
+   envelope would be allocated on every delivery, observed or not. *)
+let rec fire_env observers e =
+  match observers with
+  | [] -> ()
+  | obs :: rest ->
+      obs e;
+      fire_env rest e
 
 let count_send t ~words ~correct =
   if correct then begin
@@ -310,7 +320,7 @@ let send_one t ~src ~dst ~words ~correct m =
         sent_now = t.now;
       }
     in
-    List.iter (fun obs -> obs e) t.send_observers
+    fire_env t.send_observers e
   end
 
 let send t ~src ~dst ~words m =
@@ -378,9 +388,7 @@ let sharded_chunks ~jobs ~seed ~sched ~n ~base ~src ~now ~step payload =
 (* Deterministic k-way merge of the per-chunk sorted runs into one global
    delivery-ordered [times]/[order] pair, by (time, dst) — byte-identical
    for every [jobs]. *)
-let merge_chunks n chunks =
-  let times = Array.make n 0.0 in
-  let order = Array.make n 0 in
+let merge_chunks n chunks times order =
   let arr = Array.of_list chunks in
   let k = Array.length arr in
   let cursors = Array.make k 0 in
@@ -401,8 +409,7 @@ let merge_chunks n chunks =
     times.(slot) <- !best_t;
     order.(slot) <- !best_d;
     cursors.(!best) <- cursors.(!best) + 1
-  done;
-  (times, order)
+  done
 
 (* Lazy expansion: one broadcast record, one outstanding heap entry.  The
    latency draws happen here, at broadcast time, from the engine rng in
@@ -413,19 +420,23 @@ let merge_chunks n chunks =
 let lazy_broadcast t ~src ~words ~correct ~sharded m =
   let base = t.next_id in
   t.next_id <- base + t.n;
-  let times, order =
-    match sharded with
+  let s = b_alloc t in
+  let b = t.bcast in
+  if Array.length b.b_order.(s) <> t.n then begin
+    b.b_times.(s) <- Array.make t.n 0.0;
+    b.b_order.(s) <- Array.make t.n 0
+  end;
+  let times = b.b_times.(s) and order = b.b_order.(s) in
+  (match sharded with
     | Some jobs ->
         let chunks =
           sharded_chunks ~jobs ~seed:t.seed ~sched:t.scheduler ~n:t.n ~base ~src ~now:t.now
             ~step:t.step m
         in
-        merge_chunks t.n chunks
+        merge_chunks t.n chunks times order
     | None ->
         (* The draws happen in destination order — the exact stream the
            eager loop consumes — then scatter into delivery order. *)
-        let times = Array.make t.n 0.0 in
-        let order = Array.make t.n 0 in
         let draw = Dsort.draw_buffer t.sort_scratch t.n in
         let tmin = ref infinity and tmax = ref neg_infinity in
         for dst = 0 to t.n - 1 do
@@ -437,9 +448,7 @@ let lazy_broadcast t ~src ~words ~correct ~sharded m =
           if tm < !tmin then tmin := tm;
           if tm > !tmax then tmax := tm
         done;
-        Dsort.sort_into t.sort_scratch ~tmin:!tmin ~tmax:!tmax ~dst0:0 draw t.n times order;
-        (times, order)
-  in
+        Dsort.sort_into t.sort_scratch ~tmin:!tmin ~tmax:!tmax ~dst0:0 draw t.n times order);
   if correct then begin
     t.metrics.correct_msgs <- t.metrics.correct_msgs + t.n;
     t.metrics.correct_words <- t.metrics.correct_words + (t.n * words)
@@ -448,8 +457,6 @@ let lazy_broadcast t ~src ~words ~correct ~sharded m =
     t.metrics.byz_msgs <- t.metrics.byz_msgs + t.n;
     t.metrics.byz_words <- t.metrics.byz_words + (t.n * words)
   end;
-  let s = b_alloc t in
-  let b = t.bcast in
   let depth = t.depth.(src) + 1 in
   b.b_base.(s) <- base;
   b.b_src.(s) <- src;
@@ -458,8 +465,6 @@ let lazy_broadcast t ~src ~words ~correct ~sharded m =
   b.b_sstep.(s) <- t.step;
   b.b_snow.(s) <- t.now;
   b.b_payload.(s) <- Some m;
-  b.b_times.(s) <- times;
-  b.b_order.(s) <- order;
   b.b_next.(s) <- 0;
   Heap.push t.queue times.(0) (base + order.(0)) ((s lsl 1) lor 1);
   fire_meta t.meta_observers ~src ~id:base ~dst:0 ~count:t.n ~words ~depth ~correct m
@@ -522,7 +527,7 @@ let max_correct_depth t =
 let deliver_env t e =
   let dst = e.Envelope.dst in
   t.metrics.delivered <- t.metrics.delivered + 1;
-  List.iter (fun obs -> obs e) t.deliver_observers;
+  fire_env t.deliver_observers e;
   match t.procs.(dst) with
   | Crashed | Unregistered -> t.metrics.dropped_at_crashed <- t.metrics.dropped_at_crashed + 1
   | Correct h | Byzantine h ->

@@ -4,8 +4,11 @@ type 'm latency_fn =
 type 'm t = { name : string; content_oblivious : bool; latency : 'm latency_fn }
 
 let exponential rng mean =
-  (* Inverse-CDF sampling; clamp the uniform draw away from 0. *)
-  let u = max 1e-12 (Crypto.Rng.float rng 1.0) in
+  (* Inverse-CDF sampling; clamp the uniform draw away from 0.  Spelled
+     out rather than [max], which would box both floats and compare them
+     polymorphically once per broadcast destination; same result. *)
+  let u = Crypto.Rng.float rng 1.0 in
+  let u = if 1e-12 >= u then 1e-12 else u in
   -.mean *. log u
 
 let random ?(mean = 1.0) () =

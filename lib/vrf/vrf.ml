@@ -27,7 +27,9 @@ module Keyring = struct
   type key =
     | Rsa_key of { secret : Rsa.secret; verifier : Rsa.verifier }
     | Dleq_key of { secret : Dleq_vrf.secret; public : Dleq_vrf.public }
-    | Mock_key of string  (* per-process oracle key *)
+    | Mock_key of { raw : string; mac : Crypto.Hmac.key }
+        (* per-process oracle key: its bytes (for the fingerprint) and its
+           prepared HMAC states *)
 
   type t = {
     n : int;
@@ -35,6 +37,8 @@ module Keyring = struct
     seed : string;
     keys : key option array;  (* lazily generated *)
     mutable group : Group.t option;  (* shared Schnorr group (Dleq backend) *)
+    mutable mock_master : Crypto.Hmac.key option;
+        (* the Mock backend's master key, prepared once per keyring *)
     prove_cache : (string, output) Hashtbl.t;
         (* prove is deterministic, so caching is semantically invisible. *)
     verify_cache : (string, bool) Hashtbl.t;
@@ -62,6 +66,7 @@ module Keyring = struct
       seed;
       keys = Array.make n None;
       group = None;
+      mock_master = None;
       prove_cache = Hashtbl.create 4096;
       verify_cache = Hashtbl.create (min 4096 (max 16 cache_bound));
       verify_order = Queue.create ();
@@ -128,8 +133,16 @@ module Keyring = struct
         let secret = Dleq_vrf.keygen grp ~random:(Crypto.Drbg.generate drbg) in
         Dleq_key { secret; public = Dleq_vrf.public_of_secret secret }
     | Mock ->
-        let master = Crypto.Sha256.digest_list [ "mock-master"; t.seed ] in
-        Mock_key (Crypto.Hmac.sha256 ~key:master (string_of_int i))
+        let master =
+          match t.mock_master with
+          | Some m -> m
+          | None ->
+              let m = Crypto.Hmac.key (Crypto.Sha256.digest_list [ "mock-master"; t.seed ]) in
+              t.mock_master <- Some m;
+              m
+        in
+        let raw = Crypto.Hmac.mac master (string_of_int i) in
+        Mock_key { raw; mac = Crypto.Hmac.key raw }
     | Rsa_fdh { bits } ->
         let drbg =
           Crypto.Drbg.create ~personalization:(Printf.sprintf "key-%d" i) t.seed
@@ -155,8 +168,8 @@ module Keyring = struct
 
   let prove_uncached t i alpha =
     match key t i with
-    | Mock_key k ->
-        let proof = Crypto.Hmac.sha256 ~key:k (vrf_prefix ^ alpha) in
+    | Mock_key { mac; _ } ->
+        let proof = Crypto.Hmac.mac_list mac [ vrf_prefix; alpha ] in
         let beta = Crypto.Sha256.digest (beta_prefix ^ proof) in
         { beta; proof }
     | Rsa_key { secret; _ } ->
@@ -192,9 +205,9 @@ module Keyring = struct
            whole proof for RSA/Mock, hash of gamma for DLEQ (checked inside
            Dleq_vrf.verify). *)
         match key t signer with
-        | Mock_key k ->
+        | Mock_key { mac; _ } ->
             Crypto.Sha256.digest (beta_prefix ^ out.proof) = out.beta
-            && Crypto.Hmac.equal out.proof (Crypto.Hmac.sha256 ~key:k (vrf_prefix ^ alpha))
+            && Crypto.Hmac.equal out.proof (Crypto.Hmac.mac_list mac [ vrf_prefix; alpha ])
         | Rsa_key { verifier; _ } ->
             Crypto.Sha256.digest (beta_prefix ^ out.proof) = out.beta
             && Rsa.verify' verifier (vrf_prefix ^ alpha) out.proof
@@ -207,7 +220,7 @@ module Keyring = struct
 
   let sign t i msg =
     match key t i with
-    | Mock_key k -> Crypto.Hmac.sha256 ~key:k (sig_prefix ^ msg)
+    | Mock_key { mac; _ } -> Crypto.Hmac.mac_list mac [ sig_prefix; msg ]
     | Rsa_key { secret; _ } -> Rsa.sign secret (sig_prefix ^ msg)
     | Dleq_key { secret; _ } ->
         let grp = (match t.group with Some g -> g | None -> assert false) in
@@ -217,7 +230,8 @@ module Keyring = struct
     let cache_key = cache_key "S" signer msg sig_ in
     cached t cache_key (fun () ->
         match key t signer with
-        | Mock_key k -> Crypto.Hmac.equal sig_ (Crypto.Hmac.sha256 ~key:k (sig_prefix ^ msg))
+        | Mock_key { mac; _ } ->
+            Crypto.Hmac.equal sig_ (Crypto.Hmac.mac_list mac [ sig_prefix; msg ])
         | Rsa_key { verifier; _ } -> Rsa.verify' verifier (sig_prefix ^ msg) sig_
         | Dleq_key { public; _ } ->
             let grp = (match t.group with Some g -> g | None -> assert false) in
@@ -225,7 +239,7 @@ module Keyring = struct
 
   let public_fingerprint t i =
     match key t i with
-    | Mock_key k -> Crypto.Sha256.digest ("mock-fp" ^ k)
+    | Mock_key { raw; _ } -> Crypto.Sha256.digest ("mock-fp" ^ raw)
     | Rsa_key { secret; _ } -> Rsa.fingerprint (Rsa.public_of_secret secret)
     | Dleq_key { public; _ } ->
         let grp = (match t.group with Some g -> g | None -> assert false) in

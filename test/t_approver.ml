@@ -174,6 +174,119 @@ let test_word_accounting () =
     (Approver.words_of_msg
        (Approver.Init { v = 1; cert = { Sample.member = true; vrf = { Vrf.beta = ""; proof = "" } } }))
 
+(* ------------- Byzantine pids outside [0, n) ------------- *)
+
+let find_member kr ~s ~lambda =
+  match Sample.committee kr ~s ~lambda with
+  | pid :: _ -> (pid, Sample.sample kr ~pid ~s ~lambda)
+  | [] -> Alcotest.failf "committee %s is empty" s
+
+(* The first W members of C(<echo,v>), each with a valid certificate and
+   a valid signature on the echo payload: an OK support that verifies. *)
+let valid_support kr p ~instance v =
+  let lambda = p.Params.lambda in
+  let s_echo = Printf.sprintf "%s/echo/%d" instance v in
+  let payload = Printf.sprintf "%s/echo-sig/%d" instance v in
+  List.filteri (fun i _ -> i < p.Params.w) (Sample.committee kr ~s:s_echo ~lambda)
+  |> List.map (fun pid ->
+         {
+           Approver.pid;
+           cert = Sample.sample kr ~pid ~s:s_echo ~lambda;
+           signature = Vrf.Keyring.sign kr pid payload;
+         })
+
+let test_ok_support_pid_out_of_range () =
+  (* A support entry naming no process, with a certificate that claims
+     membership, must be rejected like any other invalid entry rather than
+     reach the keyring with a pid it has no key for. *)
+  let kr = Lazy.force keyring in
+  let p = Lazy.force params in
+  let instance = "d6" in
+  let support = valid_support kr p ~instance 1 in
+  let ok_pid, ok_cert = find_member kr ~s:(instance ^ "/ok") ~lambda:p.Params.lambda in
+  List.iter
+    (fun bad ->
+      let a = Approver.create ~keyring:kr ~params:p ~pid:0 ~instance () in
+      let first = List.hd support in
+      let entry = { first with Approver.pid = bad } in
+      let support = entry :: List.tl support in
+      let acts = Approver.handle a ~src:ok_pid (Approver.Ok { v = 1; cert = ok_cert; support }) in
+      Alcotest.(check bool) (Printf.sprintf "support pid %d rejected" bad) true (acts = []);
+      Alcotest.(check bool) "no delivery" true (Approver.result a = None))
+    [ n; -1; max_int ]
+
+(* ------------- the shared memo under per-destination variation ------------- *)
+
+let encode a =
+  let b = Buffer.create 64 in
+  Approver.encode b a;
+  Buffer.contents b
+
+(* Receiver i gets delivery i through one shared cache; its twin gets the
+   same message through a cache of its own, which is the uncached
+   verdict.  The two must end in the same state.  Returns the twins'
+   encodings. *)
+let against_uncached ~name ~instance deliveries =
+  let kr = Lazy.force keyring in
+  let p = Lazy.force params in
+  let dir = Sample.Directory.create kr ~lambda:p.Params.lambda in
+  let cache = Approver.cache () in
+  List.mapi
+    (fun i (src, msg) ->
+      let receiver cache = Approver.create ~dir ~cache ~keyring:kr ~params:p ~pid:i ~instance () in
+      let shared = receiver cache and alone = receiver (Approver.cache ()) in
+      ignore (Approver.handle shared ~src msg : Approver.action list);
+      ignore (Approver.handle alone ~src msg : Approver.action list);
+      Alcotest.(check string) (Printf.sprintf "%s, receiver %d" name i) (encode alone) (encode shared);
+      encode alone)
+    deliveries
+
+let test_memo_per_destination () =
+  (* One Byzantine sender gives one receiver a valid payload and another a
+     forged one, in both orders, and then the first payload again. *)
+  let kr = Lazy.force keyring in
+  let p = Lazy.force params in
+  let lambda = p.Params.lambda in
+  let instance = "memo" in
+  let both_orders name valid forged =
+    let a = against_uncached ~name:(name ^ ", valid first") ~instance [ valid; forged; valid ] in
+    ignore (against_uncached ~name:(name ^ ", forged first") ~instance [ forged; valid; forged ]
+             : string list);
+    Alcotest.(check bool) (name ^ ": only the valid payload is accepted") true
+      (List.nth a 0 <> List.nth a 1)
+  in
+  let init_src, init_cert = find_member kr ~s:(instance ^ "/init") ~lambda in
+  both_orders "INIT"
+    (init_src, Approver.Init { v = 1; cert = init_cert })
+    (init_src, Approver.Init { v = 1; cert = Tutil.forge_cert init_cert });
+  let support = valid_support kr p ~instance 1 in
+  let echo = List.hd support in
+  let echo_msg (e : Approver.echo_evidence) =
+    (e.Approver.pid, Approver.Echo { v = 1; cert = e.Approver.cert; signature = e.Approver.signature })
+  in
+  let bad_sig = { echo with Approver.signature = Vrf.Keyring.sign kr echo.Approver.pid "other" } in
+  let bad_cert = { echo with Approver.cert = Tutil.forge_cert echo.Approver.cert } in
+  both_orders "ECHO signature" (echo_msg echo) (echo_msg bad_sig);
+  both_orders "ECHO certificate" (echo_msg echo) (echo_msg bad_cert);
+  let ok_src, ok_cert = find_member kr ~s:(instance ^ "/ok") ~lambda in
+  let ok support = (ok_src, Approver.Ok { v = 1; cert = ok_cert; support }) in
+  let forged_support = bad_sig :: List.tl support in
+  both_orders "OK" (ok support) (ok forged_support);
+  both_orders "OK certificate" (ok support)
+    (ok_src, Approver.Ok { v = 1; cert = Tutil.forge_cert ok_cert; support });
+  (* ECHO inside an OK's support: the direct ECHO and the support entry
+     share the echo sender's memo slot. *)
+  let mixed name deliveries =
+    ignore (against_uncached ~name:(name ^ ", reversed") ~instance (List.rev deliveries)
+             : string list);
+    List.nth (against_uncached ~name ~instance deliveries) 1
+  in
+  let rejected = mixed "valid ECHO, OK with its forged entry" [ echo_msg echo; ok forged_support ] in
+  let accepted = mixed "forged ECHO, OK with its valid entry" [ echo_msg bad_sig; ok support ] in
+  ignore (mixed "forged ECHO certificate, OK with its valid entry" [ echo_msg bad_cert; ok support ]
+           : string);
+  Alcotest.(check bool) "only the OK with the valid entry is accepted" true (rejected <> accepted)
+
 let qcheck_validity_random_unanimous =
   QCheck.Test.make ~name:"qcheck: approver validity for random unanimous values" ~count:8
     QCheck.(pair small_int (int_range 0 1))
@@ -196,5 +309,8 @@ let suite =
     Alcotest.test_case "duplicate support rejected" `Quick test_ok_support_duplicate_pids_rejected;
     Alcotest.test_case "input idempotent" `Quick test_input_idempotent;
     Alcotest.test_case "word accounting" `Quick test_word_accounting;
+    Alcotest.test_case "ok support pid out of range" `Quick test_ok_support_pid_out_of_range;
+    Alcotest.test_case "memo sound under per-destination payloads" `Quick
+      test_memo_per_destination;
     QCheck_alcotest.to_alcotest qcheck_validity_random_unanimous;
   ]

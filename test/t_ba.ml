@@ -242,6 +242,31 @@ let test_observers_keep_the_run () =
       Alcotest.(check bool) (name ^ ": outcome identical with observers") true (plain = watched))
     [ ("lazy", Sim.Engine.Lazy); ("sharded jobs=1", Sim.Engine.Sharded { jobs = 1 }) ]
 
+(* What a warm, unobserved run allocates per delivery at n = 64 with
+   partial committees (lambda = 48, W = 38), the keyring's caches filled
+   by a first run.  It reads 30.8 words per delivery.  It read 68.6 before
+   the validation memos were indexed by committee rank, with memo keys
+   built and hashed per delivery, echo evidence consed per ECHO, closures
+   in the step wrappers and a boxed float per comparison in the delivery
+   sort.  The bound leaves room for another compiler or runtime. *)
+let test_allocation_per_delivery () =
+  let n = 64 in
+  let params = Params.make_exn ~strict:false ~epsilon:0.25 ~d:0.04 ~lambda:48 ~n () in
+  let keyring = Vrf.Keyring.create ~backend:Vrf.Mock ~n ~seed:"ba-alloc" () in
+  let inputs = Array.init n (fun i -> i mod 2) in
+  let run () = Runner.run_ba ~keyring ~params ~inputs ~seed:5 () in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  ignore (run () : Runner.outcome);
+  let w0 = allocated () in
+  let o = run () in
+  let per_delivery = (allocated () -. w0) /. float_of_int o.Runner.steps in
+  check_safety "alloc run" o;
+  if per_delivery > 45.0 then
+    Alcotest.failf "a run allocates %.1f words per delivery (bound 45)" per_delivery
+
 let suite =
   [
     Alcotest.test_case "validity ones" `Quick test_validity_all_ones;
@@ -262,6 +287,7 @@ let suite =
     Alcotest.test_case "input validation" `Quick test_input_validation;
     Alcotest.test_case "decide emitted once" `Quick test_decide_action_emitted_once;
     Alcotest.test_case "word complexity sane" `Quick test_word_complexity_reasonable;
+    Alcotest.test_case "allocation per delivery" `Quick test_allocation_per_delivery;
     Alcotest.test_case "rsa backend small" `Slow test_rsa_backend_small;
     QCheck_alcotest.to_alcotest qcheck_safety_random;
   ]

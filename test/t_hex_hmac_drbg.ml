@@ -46,6 +46,21 @@ let test_hmac_list () =
     (Hex.encode (Hmac.sha256 ~key:"k" "abc"))
     (Hex.encode (Hmac.sha256_list ~key:"k" [ "a"; "bc" ]))
 
+let test_hmac_prepared_key () =
+  (* The prepared states give the same tags as the one-shot path,
+     including for a key longer than a block (hashed first) and for a
+     message spread over parts; one key serves repeated tags. *)
+  List.iter
+    (fun (key, msg, expect) ->
+      let k = Hmac.key key in
+      Alcotest.(check string) "prepared key" expect (Hex.encode (Hmac.mac k msg));
+      Alcotest.(check string) "prepared key, again" expect (Hex.encode (Hmac.mac k msg));
+      let cut = String.length msg / 2 in
+      Alcotest.(check string) "prepared key, parts" expect
+        (Hex.encode
+           (Hmac.mac_list k [ String.sub msg 0 cut; String.sub msg cut (String.length msg - cut) ])))
+    rfc4231
+
 let test_hmac_equal () =
   Alcotest.(check bool) "equal" true (Hmac.equal "abc" "abc");
   Alcotest.(check bool) "unequal content" false (Hmac.equal "abc" "abd");
@@ -107,6 +122,7 @@ let suite =
     Alcotest.test_case "hex errors" `Quick test_hex_errors;
     Alcotest.test_case "hmac rfc4231" `Quick test_hmac_vectors;
     Alcotest.test_case "hmac list" `Quick test_hmac_list;
+    Alcotest.test_case "hmac prepared key" `Quick test_hmac_prepared_key;
     Alcotest.test_case "hmac equal" `Quick test_hmac_equal;
     Alcotest.test_case "drbg deterministic" `Quick test_drbg_deterministic;
     Alcotest.test_case "drbg personalization" `Quick test_drbg_personalization;

@@ -29,6 +29,24 @@ let test_nonmember_cert_rejected () =
   Alcotest.(check bool) "forged membership rejected" false
     (Sample.committee_val kr ~s:"committee-b" ~lambda:10 ~pid forged)
 
+let test_pid_out_of_range () =
+  (* A Byzantine message may name a pid that is no process: committee-val
+     rejects it (rather than asking the keyring for a key it does not
+     have), and the directory gives it no rank. *)
+  let kr = Lazy.force keyring in
+  let n = Vrf.Keyring.n kr in
+  let s = "committee-oor" in
+  let member = List.hd (Sample.committee kr ~s ~lambda:40) in
+  let cert = Sample.sample kr ~pid:member ~s ~lambda:40 in
+  let comm = Sample.Directory.committee (Sample.Directory.create kr ~lambda:40) ~s in
+  List.iter
+    (fun pid ->
+      Alcotest.(check bool) (Printf.sprintf "pid %d rejected" pid) false
+        (Sample.committee_val kr ~s ~lambda:40 ~pid cert);
+      Alcotest.(check int) (Printf.sprintf "pid %d has no rank" pid) (-1)
+        (Sample.Directory.rank comm pid))
+    [ n; -1; max_int; min_int ]
+
 let test_cert_not_transferable () =
   let kr = Lazy.force keyring in
   (* A member's certificate must not validate for another pid. *)
@@ -191,4 +209,5 @@ let suite =
     Alcotest.test_case "S5/S6 arithmetic" `Quick test_s5_s6_arithmetic;
     Alcotest.test_case "cert words" `Quick test_cert_words;
     QCheck_alcotest.to_alcotest qcheck_threshold_monotone;
+    Alcotest.test_case "pid out of range" `Quick test_pid_out_of_range;
   ]

@@ -130,6 +130,27 @@ let qcheck_incremental =
       Sha256.update ctx (String.sub s cut (String.length s - cut));
       Sha256.finalize ctx = Sha256.digest s)
 
+let test_midstate () =
+  (* A snapshot after whole blocks resumes to the same digest, any number
+     of times, and the snapshot is not disturbed by the resumed contexts. *)
+  let prefix = String.init 128 (fun i -> Char.chr (i land 0xff)) in
+  let ctx = Sha256.init () in
+  Sha256.update ctx prefix;
+  let m = Sha256.midstate ctx in
+  List.iter
+    (fun suffix ->
+      let c = Sha256.resume m in
+      Sha256.update c suffix;
+      Alcotest.(check string)
+        (Printf.sprintf "resume + %d bytes" (String.length suffix))
+        (Hex.encode (Sha256.digest (prefix ^ suffix)))
+        (Hex.encode (Sha256.finalize c)))
+    [ ""; "abc"; String.make 55 'x'; String.make 56 'y'; String.make 200 'z'; "abc" ];
+  Sha256.update ctx "a";
+  Alcotest.check_raises "not at a block boundary"
+    (Invalid_argument "Sha256.midstate: not at a block boundary") (fun () ->
+      ignore (Sha256.midstate ctx : Sha256.midstate))
+
 let qcheck_avalanche =
   QCheck.Test.make ~name:"qcheck: different inputs, different digests" ~count:300
     QCheck.(pair (string_of_size Gen.(1 -- 64)) (string_of_size Gen.(1 -- 64)))
@@ -141,6 +162,7 @@ let suite =
     Alcotest.test_case "million 'a'" `Slow test_million_a;
     Alcotest.test_case "block boundaries" `Quick test_block_boundaries;
     Alcotest.test_case "digest_list" `Quick test_digest_list;
+    Alcotest.test_case "midstate resume" `Quick test_midstate;
     Alcotest.test_case "digest size" `Quick test_digest_size;
     Alcotest.test_case "update_bytes slice" `Quick test_update_bytes_slice;
     Alcotest.test_case "update_bytes bounds check" `Quick test_update_bytes_bounds;

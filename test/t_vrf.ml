@@ -121,6 +121,28 @@ let test_beta_uniformity () =
   done;
   Alcotest.(check bool) "lsb balanced" true (!ones > 430 && !ones < 570)
 
+(* SHA-256 over the fingerprints, proofs and signatures of a Mock
+   keyring, frozen when each key was an HMAC key string re-padded on
+   every use.  The fingerprint hashes the key bytes, so this pins the key
+   derivation as well as the prepared-state tag path. *)
+let test_mock_golden () =
+  let n = 8 in
+  let kr = Vrf.Keyring.create ~backend:Vrf.Mock ~n ~seed:"mock-golden" () in
+  let parts =
+    List.concat
+      (List.init n (fun i ->
+           let out = Vrf.Keyring.prove kr i (Printf.sprintf "alpha-%d" i) in
+           [
+             Vrf.Keyring.public_fingerprint kr i;
+             out.Vrf.beta;
+             out.Vrf.proof;
+             Vrf.Keyring.sign kr i (Printf.sprintf "msg-%d" i);
+           ]))
+  in
+  Alcotest.(check string) "fingerprints, proofs and signatures"
+    "d93ae05cf8cbb46d82e0b67c13b074d23039a7a4c36c108fd2b61fe8bfcf84bc"
+    (Crypto.Hex.encode (Crypto.Sha256.digest_list parts))
+
 let qcheck_verify_all_alphas =
   QCheck.Test.make ~name:"qcheck: prove/verify for arbitrary alpha (mock)" ~count:100
     QCheck.small_string (fun alpha ->
@@ -152,6 +174,7 @@ let suite =
     Alcotest.test_case "beta_bits" `Quick test_beta_bits;
     Alcotest.test_case "beta_lsb" `Quick test_beta_lsb;
     Alcotest.test_case "beta lsb uniformity" `Quick test_beta_uniformity;
+    Alcotest.test_case "mock golden digest" `Quick test_mock_golden;
     QCheck_alcotest.to_alcotest qcheck_verify_all_alphas;
     QCheck_alcotest.to_alcotest qcheck_verify_all_alphas_rsa;
   ]

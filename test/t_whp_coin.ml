@@ -136,6 +136,94 @@ let test_second_requires_sender_cert () =
       let acts = Whp_coin.handle c ~src:5 (Whp_coin.Second { value; cert = wrong_cert }) in
       Alcotest.(check bool) "wrong-committee SECOND rejected" true (acts = [])
 
+let test_second_origin_out_of_range () =
+  (* A SECOND from a valid committee member whose value names an origin
+     outside [0, n) must be rejected, not reach the keyring with a pid it
+     has no key for. *)
+  let kr = Lazy.force keyring in
+  let p = Lazy.force params in
+  let lambda = p.Params.lambda in
+  let inst = mk_instance "oor" in
+  let s_first = Whp_coin.first_committee_string ~instance:inst ~round:0 in
+  let s_second = Whp_coin.second_committee_string ~instance:inst ~round:0 in
+  match (find_member kr ~s:s_first ~lambda, find_member kr ~s:s_second ~lambda) with
+  | None, _ | _, None -> Alcotest.fail "no member"
+  | Some (origin, origin_cert), Some (sender, cert) ->
+      let out = Vrf.Keyring.prove kr origin (Printf.sprintf "%s/whpcoin/0/value" inst) in
+      List.iter
+        (fun bad ->
+          let c = Whp_coin.create ~keyring:kr ~params:p ~pid:0 ~instance:inst ~round:0 () in
+          let value = { Whp_coin.origin = bad; out; origin_cert } in
+          let acts = Whp_coin.handle c ~src:sender (Whp_coin.Second { value; cert }) in
+          Alcotest.(check bool) (Printf.sprintf "origin %d rejected" bad) true (acts = []);
+          Alcotest.(check bool) "nothing adopted" true (Whp_coin.current_min c = None))
+        [ n; -1; max_int ]
+
+(* Receiver i gets delivery i through one shared cache; its twin gets the
+   same message through a cache of its own, which is the uncached
+   verdict.  The two must end in the same state.  Returns the twins'
+   encodings. *)
+let against_uncached ~name ~instance deliveries =
+  let kr = Lazy.force keyring in
+  let p = Lazy.force params in
+  let dir = Sample.Directory.create kr ~lambda:p.Params.lambda in
+  let cache = Whp_coin.cache () in
+  let encode c =
+    let b = Buffer.create 32 in
+    Whp_coin.encode b c;
+    Buffer.contents b
+  in
+  List.mapi
+    (fun i (src, msg) ->
+      let receiver cache =
+        Whp_coin.create ~dir ~cache ~keyring:kr ~params:p ~pid:i ~instance ~round:0 ()
+      in
+      let shared = receiver cache and alone = receiver (Whp_coin.cache ()) in
+      ignore (Whp_coin.handle shared ~src msg : Whp_coin.action list);
+      ignore (Whp_coin.handle alone ~src msg : Whp_coin.action list);
+      Alcotest.(check string) (Printf.sprintf "%s, receiver %d" name i) (encode alone) (encode shared);
+      encode alone)
+    deliveries
+
+let test_memo_per_destination () =
+  (* One Byzantine sender gives one receiver a valid payload and another a
+     forged one, in both orders, and then the first payload again. *)
+  let kr = Lazy.force keyring in
+  let p = Lazy.force params in
+  let lambda = p.Params.lambda in
+  let instance = mk_instance "memo" in
+  let s_first = Whp_coin.first_committee_string ~instance ~round:0 in
+  let s_second = Whp_coin.second_committee_string ~instance ~round:0 in
+  let member s = match find_member kr ~s ~lambda with Some m -> m | None -> Alcotest.fail "no member" in
+  let origin, origin_cert = member s_first in
+  let out = Vrf.Keyring.prove kr origin (Printf.sprintf "%s/whpcoin/0/value" instance) in
+  let value = { Whp_coin.origin; out; origin_cert } in
+  let bad_out = { value with Whp_coin.out = Vrf.Keyring.prove kr origin "other" } in
+  let bad_cert = { value with Whp_coin.origin_cert = Tutil.forge_cert origin_cert } in
+  let first v = (origin, Whp_coin.First { value = v }) in
+  let sender, cert = member s_second in
+  let second ?(cert = cert) v = (sender, Whp_coin.Second { value = v; cert }) in
+  let both_orders name valid forged =
+    let a = against_uncached ~name:(name ^ ", valid first") ~instance [ valid; forged; valid ] in
+    ignore (against_uncached ~name:(name ^ ", forged first") ~instance [ forged; valid; forged ]
+             : string list);
+    Alcotest.(check bool) (name ^ ": only the valid payload is accepted") true
+      (List.nth a 0 <> List.nth a 1)
+  in
+  both_orders "FIRST output" (first value) (first bad_out);
+  both_orders "FIRST certificate" (first value) (first bad_cert);
+  both_orders "SECOND value" (second value) (second bad_out);
+  both_orders "SECOND certificate" (second value) (second ~cert:(Tutil.forge_cert cert) value);
+  (* A FIRST and a SECOND carrying the same origin share its value slot. *)
+  let mixed name deliveries =
+    ignore (against_uncached ~name:(name ^ ", reversed") ~instance (List.rev deliveries)
+             : string list);
+    List.nth (against_uncached ~name ~instance deliveries) 1
+  in
+  let rejected = mixed "valid FIRST, SECOND with its forged value" [ first value; second bad_out ] in
+  let accepted = mixed "forged FIRST, SECOND with its valid value" [ first bad_out; second value ] in
+  Alcotest.(check bool) "only the SECOND with the valid value is accepted" true (rejected <> accepted)
+
 let test_words_scale_subquadratically () =
   (* At a realistic lambda << n the committee coin is cheaper than the
      all-to-all coin, despite its larger per-message certificates
@@ -170,6 +258,9 @@ let suite =
     Alcotest.test_case "non-member FIRST rejected" `Quick test_non_member_first_rejected;
     Alcotest.test_case "member FIRST accepted" `Quick test_member_first_accepted;
     Alcotest.test_case "SECOND needs committee cert" `Quick test_second_requires_sender_cert;
+    Alcotest.test_case "SECOND origin out of range" `Quick test_second_origin_out_of_range;
+    Alcotest.test_case "memo sound under per-destination payloads" `Quick
+      test_memo_per_destination;
     Alcotest.test_case "cheaper than Algorithm 1" `Quick test_words_scale_subquadratically;
     QCheck_alcotest.to_alcotest qcheck_liveness;
   ]

@@ -15,3 +15,10 @@ let robust_params n =
   Core.Params.make_exn ~strict:false ~epsilon:0.25 ~d:0.037
     ~lambda:(min n (max 4 (15 * n / 16)))
     ~n ()
+
+(* The certificate with the first byte of its proof flipped: same claim,
+   same beta, a proof that no longer verifies. *)
+let forge_cert (c : Core.Sample.cert) =
+  let proof = Bytes.of_string c.Core.Sample.vrf.Vrf.proof in
+  Bytes.set proof 0 (Char.chr (Char.code (Bytes.get proof 0) lxor 1));
+  { c with Core.Sample.vrf = { c.Core.Sample.vrf with Vrf.proof = Bytes.to_string proof } }
