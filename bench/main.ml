@@ -907,17 +907,18 @@ let table_sim () =
       ]
   in
   (* Raw engine throughput at bench scale: n = 10^4 empty-handler
-     broadcasts under the default (random/exponential) scheduler, one row
-     per expansion mode.  All broadcasts are enqueued before the run so
-     the event queue carries the full concurrent load — the same workload
-     shape as the pre-refactor eager baseline row in BENCH_micro.json.
-     These rows carry a [msgs_per_sec] member, which is what routes them
+     broadcasts under the default (random/exponential) scheduler.  All
+     broadcasts are enqueued before the run so the event queue carries
+     the full concurrent load.  The row keeps its historical name,
+     engine-lazy, so it stays comparable with older BENCH_micro.json
+     rows.  It carries a [msgs_per_sec] member, which is what routes it
      through the bench --compare regression gate
-     (Obs.Export.comparable_rows maps them to "sim/<protocol>" ns/msg). *)
-  let engine_row name expand =
+     (Obs.Export.comparable_rows maps it to "sim/engine-lazy" ns/msg). *)
+  let engine_row () =
+    let name = "engine-lazy" in
     let n = 10_000 in
     let rounds = if !full then 100 else 20 in
-    let eng : int Sim.Engine.t = Sim.Engine.create ~expand ~n ~seed:4242 () in
+    let eng : int Sim.Engine.t = Sim.Engine.create ~n ~seed:4242 () in
     for pid = 0 to n - 1 do
       Sim.Engine.set_handler eng pid (fun _ -> ())
     done;
@@ -931,8 +932,7 @@ let table_sim () =
     let rate = float_of_int msgs /. dt in
     Format.printf "%-22s %8d | %12.0f msgs/sec@." name n rate;
     record ~table:"sim"
-      [ ("protocol", js name); ("n", ji n); ("msgs", ji msgs); ("msgs_per_sec", jf rate) ];
-    rate
+      [ ("protocol", js name); ("n", ji n); ("msgs", ji msgs); ("msgs_per_sec", jf rate) ]
   in
   (* Heap preallocation audit: push/drain throughput with the queue
      preallocated via [create ?capacity] vs grown from the 16-entry
@@ -995,33 +995,12 @@ let table_sim () =
          ~n:bn ~f:((bn - 1) / 5) ~inputs:b_inputs ~seed:(700 + i) ())
         .Baselines.Brun.msgs);
   Format.printf "@.%-22s %8s | %12s@." "engine (raw)" "n" "throughput";
-  (* The eager engine as measured on this machine *before* the
-     arena/lazy-multicast rewrite, same workload shape.  Frozen as a
-     reference row ([frozen] flags it as not a live measurement) so the
-     refactor's >= 10x factor stays visible in BENCH_micro.json; being
-     constant on both sides of --compare it can never trip the gate. *)
-  let pre_refactor_rate = 412_027.0 in
-  Format.printf "%-22s %8d | %12.0f msgs/sec (frozen pre-refactor reference)@."
-    "engine-eager-pre" 10_000 pre_refactor_rate;
-  record ~table:"sim"
-    [
-      ("protocol", js "engine-eager-pre");
-      ("n", ji 10_000);
-      ("msgs_per_sec", jf pre_refactor_rate);
-      ("frozen", jb true);
-    ];
-  let (_ : float) = engine_row "engine-eager" Sim.Engine.Eager in
-  let lazy_rate = engine_row "engine-lazy" Sim.Engine.Lazy in
-  let (_ : float) = engine_row "engine-sharded" (Sim.Engine.Sharded { jobs = Exec.resolve_jobs 0 }) in
-  Format.printf "%-22s %8s | %11.1fx vs frozen pre-refactor eager@." "engine-lazy speedup" ""
-    (lazy_rate /. pre_refactor_rate);
+  engine_row ();
   Format.printf "@.%-22s %8s | %12s %12s %9s@." "heap" "ops" "prealloc/s" "grow/s" "win";
   heap_row ();
   Format.printf
     "@.expected shape: overhead within a few percent -- the ledger's record path@.\
-     is a phase lookup plus integer stores, no allocation, no hashing;@.\
-     engine-lazy an order of magnitude over engine-eager (lazy multicast@.\
-     expands broadcasts on demand instead of materializing n envelopes).@."
+     is a phase lookup plus integer stores, no allocation, no hashing.@."
 
 (* ------------------------------------------------------------------ *)
 (* LINT: coinlint self-measurement                                     *)

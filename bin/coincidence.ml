@@ -883,7 +883,7 @@ let complexity_proto_name = function
 
 (* One (protocol, n) point: [trials] fixed-seed runs accumulated into one
    ledger.  Returns the ledger plus whether every run terminated safely. *)
-let complexity_point proto ~expand ~lambda ~max_steps ~n ~trials ~seed =
+let complexity_point proto ~lambda ~max_steps ~n ~trials ~seed =
   let ledger = Sim.Ledger.create () in
   let inputs = Array.make n 1 in
   let ok = ref true in
@@ -895,14 +895,14 @@ let complexity_point proto ~expand ~lambda ~max_steps ~n ~trials ~seed =
         let keyring = make_keyring `Mock 256 n seed in
         let params = make_params n 0.25 0.04 lambda in
         let o =
-          Core.Runner.run_ba ~expand ?max_steps
+          Core.Runner.run_ba ?max_steps
             ~probe:(fun eng -> Core.Instrument.attach_ba_ledger eng ledger)
             ~keyring ~params ~inputs ~seed ()
         in
         note o.Core.Runner.all_decided o.Core.Runner.agreement
     | `Benor ->
         let o =
-          Baselines.Brun.run_benor ~expand ?max_steps
+          Baselines.Brun.run_benor ?max_steps
             ~probe:(fun eng ->
               Sim.Ledger.attach eng ledger ~tag_of:Baselines.Benor.tag_of_msg
                 ~round_of:Baselines.Benor.round_of_msg ())
@@ -911,7 +911,7 @@ let complexity_point proto ~expand ~lambda ~max_steps ~n ~trials ~seed =
         note o.Baselines.Brun.all_decided o.Baselines.Brun.agreement
     | `Bracha ->
         let o =
-          Baselines.Brun.run_bracha ~expand ?max_steps
+          Baselines.Brun.run_bracha ?max_steps
             ~probe:(fun eng ->
               Sim.Ledger.attach eng ledger ~tag_of:Baselines.Bracha.tag_of_msg
                 ~round_of:Baselines.Bracha.round_of_msg ())
@@ -920,7 +920,7 @@ let complexity_point proto ~expand ~lambda ~max_steps ~n ~trials ~seed =
         note o.Baselines.Brun.all_decided o.Baselines.Brun.agreement
     | `Rabin ->
         let o =
-          Baselines.Brun.run_rabin ~expand ?max_steps
+          Baselines.Brun.run_rabin ?max_steps
             ~probe:(fun eng ->
               Sim.Ledger.attach eng ledger ~tag_of:Baselines.Rabin.tag_of_msg
                 ~round_of:Baselines.Rabin.round_of_msg ())
@@ -931,7 +931,7 @@ let complexity_point proto ~expand ~lambda ~max_steps ~n ~trials ~seed =
   (ledger, !ok)
 
 let complexity_cmd =
-  let run ns trials seed lambda max_steps protos engine jobs json =
+  let run ns trials seed lambda max_steps protos json =
     if trials <= 0 then begin
       Format.eprintf "complexity: --trials must be positive (got %d)@." trials;
       2
@@ -940,19 +940,7 @@ let complexity_cmd =
       Format.eprintf "complexity: --ns needs a non-empty list of n >= 4@." ;
       2
     end
-    else if jobs < 0 then begin
-      Format.eprintf "complexity: --jobs must be >= 0 (got %d)@." jobs;
-      2
-    end
     else begin
-      let expand : Sim.Engine.expand =
-        match engine with
-        | `Eager -> Sim.Engine.Eager
-        | `Lazy -> Sim.Engine.Lazy
-        | `Sharded ->
-            let jobs = Exec.resolve_jobs jobs in
-            Sim.Engine.Sharded { jobs }
-      in
       let ns = List.sort_uniq Int.compare ns in
       (* results.(p) = per-n (n, ledger, ok, mean correct words/trial) *)
       let results =
@@ -962,7 +950,7 @@ let complexity_cmd =
               List.map
                 (fun n ->
                   let ledger, ok =
-                    complexity_point proto ~expand ~lambda ~max_steps ~n ~trials ~seed
+                    complexity_point proto ~lambda ~max_steps ~n ~trials ~seed
                   in
                   let words =
                     float_of_int (Sim.Ledger.total ledger).Sim.Ledger.correct_words
@@ -1155,15 +1143,6 @@ let complexity_cmd =
           ~doc:"Write a coincidence.ledger/1 document to FILE (\"-\" for stdout): per-(protocol, \
                 n) totals with the per-round, per-phase breakdown, plus fitted log-log slopes.")
   in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (enum [ ("eager", `Eager); ("lazy", `Lazy); ("sharded", `Sharded) ]) `Lazy
-      & info [ "engine" ] ~docv:"MODE"
-          ~doc:"Broadcast expansion mode: eager (materialize all n envelopes at send), lazy \
-                (per-destination on demand; byte-identical to eager, the default), or sharded \
-                (lazy with --jobs worker domains expanding latency chunks; jobs-invariant).")
-  in
   Cmd.v
     (Cmd.info "complexity"
        ~doc:"Sweep n with the word-complexity ledger attached and report per-phase/per-round \
@@ -1179,7 +1158,7 @@ let complexity_cmd =
               ~doc:
                 "Delivery cap per run (default: the engine's 50M).  A WHP-BA point at n = \
                  100,000 sends ~64M messages per round, so completing it needs a larger cap.")
-      $ protos_arg $ engine_arg $ jobs_arg $ json_arg)
+      $ protos_arg $ json_arg)
 
 (* ------------------------------- check ------------------------------- *)
 

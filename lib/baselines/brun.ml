@@ -12,7 +12,7 @@ type outcome = {
 
 (* One generic execution loop shared by all baselines: protocols differ
    only in their state/message/action types, abstracted by closures. *)
-let run_generic (type st msg) ?scheduler ?expand ?(pre_crash = []) ?max_steps
+let run_generic (type st msg) ?scheduler ?(pre_crash = []) ?max_steps
     ?(probe : (msg Sim.Engine.t -> unit) option) ~n ~seed
     ~(create : pid:int -> st) ~(propose : st -> int -> 'a list)
     ~(handle : st -> src:int -> msg -> 'a list)
@@ -20,7 +20,7 @@ let run_generic (type st msg) ?scheduler ?expand ?(pre_crash = []) ?max_steps
     ~(decision : st -> int option) ~(decided_round : st -> int option) ~(inputs : int array) ()
     : outcome =
   if Array.length inputs <> n then invalid_arg "Brun.run: need one input per process";
-  let eng : msg Sim.Engine.t = Sim.Engine.create ?scheduler ?expand ~n ~seed () in
+  let eng : msg Sim.Engine.t = Sim.Engine.create ?scheduler ~n ~seed () in
   (* The probe attaches observers (word-complexity ledger, traces) before
      any send — the same hook point Core.Runner exposes. *)
   (match probe with Some f -> f eng | None -> ());
@@ -80,8 +80,8 @@ let run_generic (type st msg) ?scheduler ?expand ?(pre_crash = []) ?max_steps
     result;
   }
 
-let run_benor ?scheduler ?expand ?pre_crash ?max_steps ?probe ~n ~f ~inputs ~seed () =
-  run_generic ?scheduler ?expand ?pre_crash ?max_steps ?probe ~n ~seed
+let run_benor ?scheduler ?pre_crash ?max_steps ?probe ~n ~f ~inputs ~seed () =
+  run_generic ?scheduler ?pre_crash ?max_steps ?probe ~n ~seed
     ~create:(fun ~pid -> Benor.create ~n ~f ~pid ~coin_seed:seed)
     ~propose:Benor.propose
     ~handle:Benor.handle
@@ -89,8 +89,8 @@ let run_benor ?scheduler ?expand ?pre_crash ?max_steps ?probe ~n ~f ~inputs ~see
     ~words:Benor.words_of_msg ~decision:Benor.decision ~decided_round:Benor.decided_round
     ~inputs ()
 
-let run_bracha ?scheduler ?expand ?pre_crash ?max_steps ?probe ~n ~f ~inputs ~seed () =
-  run_generic ?scheduler ?expand ?pre_crash ?max_steps ?probe ~n ~seed
+let run_bracha ?scheduler ?pre_crash ?max_steps ?probe ~n ~f ~inputs ~seed () =
+  run_generic ?scheduler ?pre_crash ?max_steps ?probe ~n ~seed
     ~create:(fun ~pid -> Bracha.create ~n ~f ~pid ~coin_seed:seed)
     ~propose:Bracha.propose
     ~handle:Bracha.handle
@@ -98,9 +98,9 @@ let run_bracha ?scheduler ?expand ?pre_crash ?max_steps ?probe ~n ~f ~inputs ~se
     ~words:Bracha.words_of_msg ~decision:Bracha.decision ~decided_round:Bracha.decided_round
     ~inputs ()
 
-let run_rabin ?scheduler ?expand ?pre_crash ?max_steps ?probe ~n ~f ~inputs ~seed () =
+let run_rabin ?scheduler ?pre_crash ?max_steps ?probe ~n ~f ~inputs ~seed () =
   let dealer = Rabin.make_dealer ~n ~f ~seed:(string_of_int seed) in
-  run_generic ?scheduler ?expand ?pre_crash ?max_steps ?probe ~n ~seed
+  run_generic ?scheduler ?pre_crash ?max_steps ?probe ~n ~seed
     ~create:(fun ~pid -> Rabin.create ~dealer ~pid)
     ~propose:Rabin.propose
     ~handle:Rabin.handle
@@ -108,8 +108,8 @@ let run_rabin ?scheduler ?expand ?pre_crash ?max_steps ?probe ~n ~f ~inputs ~see
     ~words:Rabin.words_of_msg ~decision:Rabin.decision ~decided_round:Rabin.decided_round
     ~inputs ()
 
-let run_mmr ?scheduler ?expand ?pre_crash ?max_steps ?probe ~coin ~n ~f ~inputs ~seed () =
-  run_generic ?scheduler ?expand ?pre_crash ?max_steps ?probe ~n ~seed
+let run_mmr ?scheduler ?pre_crash ?max_steps ?probe ~coin ~n ~f ~inputs ~seed () =
+  run_generic ?scheduler ?pre_crash ?max_steps ?probe ~n ~seed
     ~create:(fun ~pid -> Mmr.create ~n ~f ~pid ~instance:(Printf.sprintf "mmr-%d" seed) ~coin)
     ~propose:Mmr.propose
     ~handle:Mmr.handle

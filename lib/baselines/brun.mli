@@ -14,27 +14,23 @@ type outcome = {
 }
 
 val run_benor :
-  ?scheduler:Benor.msg Sim.Scheduler.t -> ?expand:Sim.Engine.expand ->
-  ?pre_crash:int list -> ?max_steps:int ->
+  ?scheduler:Benor.msg Sim.Scheduler.t -> ?pre_crash:int list -> ?max_steps:int ->
   ?probe:(Benor.msg Sim.Engine.t -> unit) ->
   n:int -> f:int -> inputs:int array -> seed:int -> unit -> outcome
 (** [probe] (like {!Core.Runner}'s) sees the engine before any message is
     sent — the hook for attaching observers such as {!Sim.Ledger}. *)
 
 val run_bracha :
-  ?scheduler:Bracha.msg Sim.Scheduler.t -> ?expand:Sim.Engine.expand ->
-  ?pre_crash:int list -> ?max_steps:int ->
+  ?scheduler:Bracha.msg Sim.Scheduler.t -> ?pre_crash:int list -> ?max_steps:int ->
   ?probe:(Bracha.msg Sim.Engine.t -> unit) ->
   n:int -> f:int -> inputs:int array -> seed:int -> unit -> outcome
 
 val run_rabin :
-  ?scheduler:Rabin.msg Sim.Scheduler.t -> ?expand:Sim.Engine.expand ->
-  ?pre_crash:int list -> ?max_steps:int ->
+  ?scheduler:Rabin.msg Sim.Scheduler.t -> ?pre_crash:int list -> ?max_steps:int ->
   ?probe:(Rabin.msg Sim.Engine.t -> unit) ->
   n:int -> f:int -> inputs:int array -> seed:int -> unit -> outcome
 
 val run_mmr :
-  ?scheduler:Mmr.msg Sim.Scheduler.t -> ?expand:Sim.Engine.expand ->
-  ?pre_crash:int list -> ?max_steps:int ->
+  ?scheduler:Mmr.msg Sim.Scheduler.t -> ?pre_crash:int list -> ?max_steps:int ->
   ?probe:(Mmr.msg Sim.Engine.t -> unit) ->
   coin:Mmr.coin_mode -> n:int -> f:int -> inputs:int array -> seed:int -> unit -> outcome

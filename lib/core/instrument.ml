@@ -3,22 +3,11 @@ let attach_ba eng ~metrics =
     ~round_of:(fun m -> Some (Ba.round_of_msg m))
     ()
 
-let attach_coin eng ~metrics = Obs.Bridge.attach eng ~metrics ~tag_of:Coin.tag_of_msg ()
-let attach_whp_coin eng ~metrics = Obs.Bridge.attach eng ~metrics ~tag_of:Whp_coin.tag_of_msg ()
-let attach_approver eng ~metrics = Obs.Bridge.attach eng ~metrics ~tag_of:Approver.tag_of_msg ()
-
-(* Ledger attachments: the flat word-complexity accumulator, tagged with
-   the same phase names the metrics bridge uses so the two views line up. *)
+(* The ledger attachment: the flat word-complexity accumulator, tagged
+   with the same phase names the metrics bridge uses so the two views
+   line up. *)
 let attach_ba_ledger eng ledger =
   Sim.Ledger.attach eng ledger ~tag_of:Ba.tag_of_msg ~round_of:Ba.round_of_msg ()
-
-let attach_coin_ledger eng ledger = Sim.Ledger.attach eng ledger ~tag_of:Coin.tag_of_msg ()
-
-let attach_whp_coin_ledger eng ledger =
-  Sim.Ledger.attach eng ledger ~tag_of:Whp_coin.tag_of_msg ()
-
-let attach_approver_ledger eng ledger =
-  Sim.Ledger.attach eng ledger ~tag_of:Approver.tag_of_msg ()
 
 let params_json (p : Params.t) =
   Obs.Json.Obj

@@ -1,10 +1,10 @@
 (** Protocol-aware observability attachments.
 
-    These wire an engine's observer hooks into an {!Obs.Metrics} registry
-    with the protocol's own message tags ({!Ba.tag_of_msg} et al.), so
-    counters and histograms break down by phase (A1/A2/COIN sub-protocol,
-    INIT/ECHO/OK/FIRST/SECOND kind) and, for BA, by round.  Pass them as
-    the [?probe] of the {!Runner} entry points:
+    {!attach_ba} wires an engine's observer hooks into an {!Obs.Metrics}
+    registry with BA's own message tags ({!Ba.tag_of_msg}), so counters
+    and histograms break down by phase (A1/A2/COIN sub-protocol,
+    INIT/ECHO/OK/FIRST/SECOND kind) and by round.  Pass it as the
+    [?probe] of {!Runner.run_ba}:
 
     {[
       let metrics = Obs.Metrics.create () in
@@ -20,22 +20,17 @@
     without it ([test/t_obs.ml] pins this down). *)
 
 val attach_ba : Ba.msg Sim.Engine.t -> metrics:Obs.Metrics.t -> unit
-val attach_coin : Coin.msg Sim.Engine.t -> metrics:Obs.Metrics.t -> unit
-val attach_whp_coin : Whp_coin.msg Sim.Engine.t -> metrics:Obs.Metrics.t -> unit
-val attach_approver : Approver.msg Sim.Engine.t -> metrics:Obs.Metrics.t -> unit
 
 (** {1 Word-complexity ledger}
 
-    The {!Sim.Ledger} variants of the attachments above: same tag
-    functions, but feeding the flat (phase, round, sender-class)
-    accumulator instead of the metrics registry — cheap enough to stay
-    attached at the largest simulated [n].  Several engines may share one
-    ledger to aggregate trials. *)
+    The {!Sim.Ledger} variant of {!attach_ba}: same tag functions, but
+    feeding the flat (phase, round, sender-class) accumulator instead of
+    the metrics registry — cheap enough to stay attached at the largest
+    simulated [n].  Several engines may share one ledger to aggregate
+    trials.  Other protocols attach {!Sim.Ledger.attach} or
+    [Obs.Bridge.attach] with their own [tag_of] directly. *)
 
 val attach_ba_ledger : Ba.msg Sim.Engine.t -> Sim.Ledger.t -> unit
-val attach_coin_ledger : Coin.msg Sim.Engine.t -> Sim.Ledger.t -> unit
-val attach_whp_coin_ledger : Whp_coin.msg Sim.Engine.t -> Sim.Ledger.t -> unit
-val attach_approver_ledger : Approver.msg Sim.Engine.t -> Sim.Ledger.t -> unit
 
 val cell_json : Sim.Ledger.cell -> Obs.Json.t
 

@@ -50,10 +50,10 @@ let apply_corruption eng rng = function
 
 let ba_instance_name ~seed = Printf.sprintf "ba-%d" seed
 
-let run_ba ?scheduler ?expand ?probe ?(corruption = Honest) ?max_steps ~keyring ~params ~inputs ~seed () =
+let run_ba ?scheduler ?probe ?(corruption = Honest) ?max_steps ~keyring ~params ~inputs ~seed () =
   let n = params.Params.n in
   if Array.length inputs <> n then invalid_arg "Runner.run_ba: need one input per process";
-  let eng = Sim.Engine.create ?scheduler ?expand ~n ~seed () in
+  let eng = Sim.Engine.create ?scheduler ~n ~seed () in
   (match probe with Some attach -> attach eng | None -> ());
   let instance = ba_instance_name ~seed in
   (* One shared context for the whole run: ground-truth committee
@@ -139,8 +139,8 @@ let coin_outcome_of eng outputs result =
     coin_result = result;
   }
 
-let run_shared_coin ?scheduler ?expand ?probe ?(pre_corrupt = []) ?corrupt_engine ~keyring ~n ~f ~round ~seed () =
-  let eng = Sim.Engine.create ?scheduler ?expand ~n ~seed () in
+let run_shared_coin ?scheduler ?probe ?(pre_corrupt = []) ?corrupt_engine ~keyring ~n ~f ~round ~seed () =
+  let eng = Sim.Engine.create ?scheduler ~n ~seed () in
   (match probe with Some attach -> attach eng | None -> ());
   let instance = Printf.sprintf "coin-%d" seed in
   let procs = Array.init n (fun pid -> Coin.create ~keyring ~n ~f ~pid ~instance ~round) in
@@ -166,9 +166,9 @@ let run_shared_coin ?scheduler ?expand ?probe ?(pre_corrupt = []) ?corrupt_engin
   let result = Sim.Engine.run eng ~until:all_returned in
   coin_outcome_of eng outputs result
 
-let run_whp_coin ?scheduler ?expand ?probe ?(pre_corrupt = []) ?corrupt_engine ~keyring ~params ~round ~seed () =
+let run_whp_coin ?scheduler ?probe ?(pre_corrupt = []) ?corrupt_engine ~keyring ~params ~round ~seed () =
   let n = params.Params.n in
-  let eng = Sim.Engine.create ?scheduler ?expand ~n ~seed () in
+  let eng = Sim.Engine.create ?scheduler ~n ~seed () in
   (match probe with Some attach -> attach eng | None -> ());
   let instance = Printf.sprintf "whpcoin-%d" seed in
   let dir = Sample.Directory.create keyring ~lambda:params.Params.lambda in
@@ -204,10 +204,10 @@ type approver_outcome = {
   approver_result : Sim.Engine.run_result;
 }
 
-let run_approver ?scheduler ?expand ?probe ?(pre_corrupt = []) ~keyring ~params ~inputs ~seed () =
+let run_approver ?scheduler ?probe ?(pre_corrupt = []) ~keyring ~params ~inputs ~seed () =
   let n = params.Params.n in
   if Array.length inputs <> n then invalid_arg "Runner.run_approver: need one input per process";
-  let eng = Sim.Engine.create ?scheduler ?expand ~n ~seed () in
+  let eng = Sim.Engine.create ?scheduler ~n ~seed () in
   (match probe with Some attach -> attach eng | None -> ());
   let instance = Printf.sprintf "approver-%d" seed in
   let dir = Sample.Directory.create keyring ~lambda:params.Params.lambda in

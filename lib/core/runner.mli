@@ -35,7 +35,6 @@ val ba_instance_name : seed:int -> string
 
 val run_ba :
   ?scheduler:Ba.msg Sim.Scheduler.t ->
-  ?expand:Sim.Engine.expand ->
   ?probe:(Ba.msg Sim.Engine.t -> unit) ->
   ?corruption:corruption ->
   ?max_steps:int ->
@@ -63,7 +62,6 @@ type coin_outcome = {
 
 val run_shared_coin :
   ?scheduler:Coin.msg Sim.Scheduler.t ->
-  ?expand:Sim.Engine.expand ->
   ?probe:(Coin.msg Sim.Engine.t -> unit) ->
   ?pre_corrupt:int list ->
   ?corrupt_engine:(Coin.msg Sim.Engine.t -> unit) ->
@@ -80,7 +78,6 @@ val run_shared_coin :
 
 val run_whp_coin :
   ?scheduler:Whp_coin.msg Sim.Scheduler.t ->
-  ?expand:Sim.Engine.expand ->
   ?probe:(Whp_coin.msg Sim.Engine.t -> unit) ->
   ?pre_corrupt:int list ->
   ?corrupt_engine:(Whp_coin.msg Sim.Engine.t -> unit) ->
@@ -100,7 +97,6 @@ type approver_outcome = {
 
 val run_approver :
   ?scheduler:Approver.msg Sim.Scheduler.t ->
-  ?expand:Sim.Engine.expand ->
   ?probe:(Approver.msg Sim.Engine.t -> unit) ->
   ?pre_corrupt:int list ->
   keyring:Vrf.Keyring.t ->

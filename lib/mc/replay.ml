@@ -176,9 +176,9 @@ module Drive (P : Search.PROTO) = struct
       spec.sp_trace;
     (* The trace position becomes the absolute delivery time; messages
        the trace never delivers are parked far in the future and cut off
-       by max_steps.  Latency calls happen once per (src, dst) per
-       broadcast in destination order under Eager expansion — the same
-       counting the checker does. *)
+       by max_steps.  The engine calls the latency function once per
+       (src, dst) per broadcast, in destination order at send time — the
+       same counting the checker does. *)
     let sends = Array.make (n * n) 0 in
     let byz_sends : (int, int) Hashtbl.t = Hashtbl.create 8 in
     let parked = ref 0 in
@@ -204,8 +204,7 @@ module Drive (P : Search.PROTO) = struct
         | None -> park now
       end
     in
-    let scheduler = Sim.Scheduler.custom ~name:"mc-replay" ~content_oblivious:true latency in
-    let eng = Sim.Engine.create ~scheduler ~expand:Sim.Engine.Eager ~n ~seed:1 () in
+    let eng = Sim.Engine.create ~scheduler:(Sim.Scheduler.custom latency) ~n ~seed:1 () in
     let procs = Array.init n (fun pid -> P.create ~n ~f:spec.sp_f ~coin:spec.sp_coin ~pid) in
     let observed = ref None in
     let emit pid msgs = List.iter (fun m -> Sim.Engine.broadcast eng ~src:pid ~words:1 m) msgs in

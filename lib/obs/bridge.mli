@@ -3,13 +3,13 @@
     deliver and corrupt hooks.
 
     The attachment is strictly passive.  It reads envelopes and engine
-    state, and none of its hooks forces eager expansion, so for a fixed
-    seed an execution is byte-identical with or without it, under every
-    expansion mode (the property [test/t_obs.ml] pins down).
+    state and changes neither, so for a fixed seed an execution is
+    byte-identical with or without it (the property [test/t_obs.ml] pins
+    down).
 
     Cost: the send-side series are recorded once per meta call, that is
-    once per broadcast under lazy expansion, adding [count] messages and
-    [count * words] words.  Every series is resolved into a
+    once per broadcast (twice under an adaptive send hook), adding
+    [count] messages and [count * words] words.  Every series is resolved into a
     {!Metrics.counter} or {!Metrics.histo} handle once: per tag on the
     tag's first appearance, per pid and per round on first use, and the
     tagless series at attachment.  Recording a delivery is then a tag

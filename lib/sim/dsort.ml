@@ -78,8 +78,7 @@ let quicksort (times : float array) (dsts : int array) lo0 hi0 =
   in
   go lo0 hi0
 
-(* Reusable buffers: one set per engine (and one per sharded worker),
-   grown on demand, so steady-state broadcasts allocate nothing beyond
+(* Reusable buffers: one set per engine, grown on demand, so steady-state broadcasts allocate nothing beyond
    their own persistent (times, dsts) pair.  [draw] is the staging array
    latency draws land in before the scatter. *)
 type scratch = {

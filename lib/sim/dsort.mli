@@ -9,8 +9,8 @@
     exact comparison order; only the route there adapts. *)
 
 type scratch
-(** Reusable scatter buffers.  One per engine, one per sharded worker;
-    grown on demand so steady-state broadcasts allocate nothing. *)
+(** Reusable scatter buffers.  One per engine; grown on demand so
+    steady-state broadcasts allocate nothing. *)
 
 val scratch : unit -> scratch
 

@@ -4,8 +4,6 @@ type 'm process_state =
   | Crashed
   | Byzantine of ('m Envelope.t -> unit)
 
-type expand = Eager | Lazy | Sharded of { jobs : int }
-
 type 'm meta_observer =
   src:int -> id:int -> dst:int -> count:int -> words:int -> depth:int -> correct:bool -> 'm -> unit
 
@@ -29,12 +27,14 @@ type 'm uni_arena = {
 
 (* Broadcast pool: one slot per in-flight logical broadcast.  [times] and
    [order] are parallel arrays in delivery order: slot k holds the k-th
-   (time, dst) by ascending (time, dst), and [next] is the expansion
-   cursor — so expansion reads both arrays strictly sequentially.  At
-   most one heap entry per broadcast is outstanding: the cursor's entry.
-   Because the record sorts ascending, that entry is the broadcast's
-   global minimum pending (time, seq), so the engine-wide pop order is
-   exactly the eager order. *)
+   (time, dst) by ascending (time, dst), [len] how many destinations the
+   record carries (n, or n - 1 when destination 0 went out on its own
+   ahead of a send hook), and [next] is the expansion cursor — so
+   expansion reads both arrays strictly sequentially.  At most one heap
+   entry per broadcast is outstanding: the cursor's entry.  Because the
+   record sorts ascending, that entry is the broadcast's global minimum
+   pending (time, seq), so the engine-wide pop order is exactly the order
+   of n individual enqueues. *)
 type 'm bcast_pool = {
   mutable b_base : int array; (* envelope id of dst 0; dst d gets base + d *)
   mutable b_src : int array;
@@ -45,6 +45,7 @@ type 'm bcast_pool = {
   mutable b_payload : 'm option array;
   mutable b_times : float array array;
   mutable b_order : int array array;
+  mutable b_len : int array;
   mutable b_next : int array;
   mutable b_free : int array;
   mutable b_nfree : int;
@@ -53,10 +54,8 @@ type 'm bcast_pool = {
 
 type 'm t = {
   n : int;
-  seed : int;
   rng : Crypto.Rng.t;
   scheduler : 'm Scheduler.t;
-  expand : expand;
   queue : Heap.t; (* handles: slot*2 for unicast, slot*2+1 for broadcast *)
   uni : 'm uni_arena;
   bcast : 'm bcast_pool;
@@ -67,7 +66,7 @@ type 'm t = {
   mutable next_id : int;
   mutable step : int;
   mutable now : float;
-  mutable send_observers : ('m Envelope.t -> unit) list;
+  mutable send_hooks : (src:int -> 'm -> unit) list;
   mutable meta_observers : 'm meta_observer list;
   mutable deliver_observers : ('m Envelope.t -> unit) list;
   mutable corrupt_observers : (int -> unit) list;
@@ -75,19 +74,13 @@ type 'm t = {
 
 type run_result = All_done | Quiescent | Step_limit
 
-let create ?(scheduler = Scheduler.random ()) ?(expand = Lazy) ?queue_capacity ~n ~seed () =
+let create ?(scheduler = Scheduler.random ()) ~n ~seed () =
   if n <= 0 then invalid_arg "Engine.create: n must be positive";
-  (match expand with
-  | Sharded { jobs } when jobs < 0 -> invalid_arg "Engine.create: negative jobs"
-  | _ -> ());
-  let qcap = match queue_capacity with Some c -> max 1 c | None -> max 16 (min (2 * n) 1_048_576) in
   {
     n;
-    seed;
     rng = Crypto.Rng.create seed;
     scheduler;
-    expand;
-    queue = Heap.create ~capacity:qcap ();
+    queue = Heap.create ~capacity:(max 16 (min (2 * n) 1_048_576)) ();
     uni =
       {
         u_id = Array.make 16 0;
@@ -113,6 +106,7 @@ let create ?(scheduler = Scheduler.random ()) ?(expand = Lazy) ?queue_capacity ~
         b_payload = Array.make 8 None;
         b_times = Array.make 8 [||];
         b_order = Array.make 8 [||];
+        b_len = Array.make 8 0;
         b_next = Array.make 8 0;
         b_free = Array.make 8 0;
         b_nfree = 0;
@@ -125,7 +119,7 @@ let create ?(scheduler = Scheduler.random ()) ?(expand = Lazy) ?queue_capacity ~
     next_id = 0;
     step = 0;
     now = 0.0;
-    send_observers = [];
+    send_hooks = [];
     meta_observers = [];
     deliver_observers = [];
     corrupt_observers = [];
@@ -136,7 +130,6 @@ let rng t = t.rng
 let metrics t = t.metrics
 let step t = t.step
 let now t = t.now
-let expand_mode t = t.expand
 
 let check_pid t pid =
   if pid < 0 || pid >= t.n then invalid_arg "Engine: pid out of range"
@@ -233,6 +226,7 @@ let b_alloc t =
       b.b_payload <- grow_any b.b_payload used None;
       b.b_times <- grow_any b.b_times used [||];
       b.b_order <- grow_any b.b_order used [||];
+      b.b_len <- grow_int b.b_len used;
       b.b_next <- grow_int b.b_next used
     end;
     let s = b.b_used in
@@ -240,9 +234,9 @@ let b_alloc t =
     s
   end
 
-(* A released slot keeps its [times]/[order] pair: every broadcast has
-   exactly n destinations, so the next broadcast in the slot refills the
-   same arrays instead of allocating 2n words. *)
+(* A released slot keeps its [times]/[order] pair: no broadcast record
+   has more than n destinations, so the next broadcast in the slot refills
+   the same arrays instead of allocating 2n words. *)
 let b_release t s =
   let b = t.bcast in
   b.b_payload.(s) <- None;
@@ -252,9 +246,9 @@ let b_release t s =
 
 (* ---- sending ---------------------------------------------------------- *)
 
-(* Direct recursion, not [List.iter] over a closure: under eager
-   expansion this runs once per envelope, observed or not, and the
-   closure would be allocated every time. *)
+(* Direct recursion, not [List.iter] over a closure: this runs once per
+   send, observed or not, and the closure would be allocated every
+   time. *)
 let rec fire_meta observers ~src ~id ~dst ~count ~words ~depth ~correct m =
   match observers with
   | [] -> ()
@@ -271,21 +265,34 @@ let rec fire_env observers e =
       obs e;
       fire_env rest e
 
-let count_send t ~words ~correct =
+let rec fire_hooks hooks ~src m =
+  match hooks with
+  | [] -> ()
+  | hook :: rest ->
+      hook ~src m;
+      fire_hooks rest ~src m
+
+let count_sends t ~count ~words ~correct =
   if correct then begin
-    t.metrics.correct_msgs <- t.metrics.correct_msgs + 1;
-    t.metrics.correct_words <- t.metrics.correct_words + words
+    t.metrics.correct_msgs <- t.metrics.correct_msgs + count;
+    t.metrics.correct_words <- t.metrics.correct_words + (count * words)
   end
   else begin
-    t.metrics.byz_msgs <- t.metrics.byz_msgs + 1;
-    t.metrics.byz_words <- t.metrics.byz_words + words
+    t.metrics.byz_msgs <- t.metrics.byz_msgs + count;
+    t.metrics.byz_words <- t.metrics.byz_words + (count * words)
   end
 
+(* The sender's class, [None] once it has crashed. *)
+let sender_class t src =
+  match t.procs.(src) with
+  | Crashed -> None
+  | Unregistered | Correct _ -> Some true
+  | Byzantine _ -> Some false
+
 (* One point-to-point enqueue: metrics, arena slot, latency draw, heap push,
-   then the send observers.  Meta observers go first, so they record the
-   send before a per-envelope observer can corrupt the sender over it. *)
+   then the meta observers. *)
 let send_one t ~src ~dst ~words ~correct m =
-  count_send t ~words ~correct;
+  count_sends t ~count:1 ~words ~correct;
   let s = u_alloc t in
   let u = t.uni in
   let id = t.next_id in
@@ -306,119 +313,26 @@ let send_one t ~src ~dst ~words ~correct m =
      misbehaving custom scheduler cannot poison the queue order. *)
   let latency = if latency >= 0.0 then latency else 0.0 in
   Heap.push t.queue (t.now +. latency) id ((s lsl 1));
-  fire_meta t.meta_observers ~src ~id ~dst ~count:1 ~words ~depth ~correct m;
-  if t.send_observers <> [] then begin
-    let e =
-      {
-        Envelope.id;
-        src;
-        dst;
-        payload = m;
-        words;
-        depth;
-        sent_step = t.step;
-        sent_now = t.now;
-      }
-    in
-    fire_env t.send_observers e
-  end
+  fire_meta t.meta_observers ~src ~id ~dst ~count:1 ~words ~depth ~correct m
 
+(* The send hooks run after the envelope is on the queue and reported, so
+   a corruption they make cannot take the send back. *)
 let send t ~src ~dst ~words m =
   check_pid t src;
   check_pid t dst;
-  match t.procs.(src) with
-  | Crashed -> () (* a crashed process sends nothing *)
-  | Unregistered | Correct _ -> send_one t ~src ~dst ~words ~correct:true m
-  | Byzantine _ -> send_one t ~src ~dst ~words ~correct:false m
+  match sender_class t src with
+  | None -> () (* a crashed process sends nothing *)
+  | Some correct ->
+      send_one t ~src ~dst ~words ~correct m;
+      fire_hooks t.send_hooks ~src m
 
-(* Eager expansion: n individual enqueues, exactly the seed engine's
-   broadcast.  The class is judged per destination, so a per-envelope
-   send observer may corrupt the source mid-broadcast: the remaining
-   destinations then go out in the new class, or not at all after a
-   crash. *)
-let eager_broadcast t ~src ~words m =
-  for dst = 0 to t.n - 1 do
-    match t.procs.(src) with
-    | Crashed -> ()
-    | Unregistered | Correct _ -> send_one t ~src ~dst ~words ~correct:true m
-    | Byzantine _ -> send_one t ~src ~dst ~words ~correct:false m
-  done
-
-(* splitmix64-style finalizer, the per-chunk seed derivation for sharded
-   expansion.  Pure function of (engine seed, broadcast id, chunk index):
-   the latency stream is independent of worker count and claim order. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xff51afd7ed558ccdL in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 33)) 0xc4ceb9fe1a85ec53L in
-  Int64.logxor z (Int64.shift_right_logical z 33)
-
-let chunk_seed ~seed ~base ~chunk =
-  mix64 (Int64.logxor (mix64 (Int64.of_int seed)) (mix64 (Int64.of_int ((base * 2654435761) + chunk))))
-
-(* Destinations per sharded chunk.  Fixed (never derived from [jobs]) so
-   the chunk boundaries, hence the derived latency streams, are identical
-   at every worker count. *)
-let sharded_chunk = 16384
-
-(* Top-level worker fan-out on purpose: the closure passed to [Exec.map]
-   captures only the immutable arguments below (the engine record, with
-   its mutable fields, must stay out of worker reach).  Each chunk draws
-   from its own derived rng and returns fresh arrays to the spawning
-   domain. *)
-let sharded_chunks ~jobs ~seed ~sched ~n ~base ~src ~now ~step payload =
-  let nchunks = (n + sharded_chunk - 1) / sharded_chunk in
-  Exec.map ~jobs ~ctx:(fun _ -> Dsort.scratch ()) nchunks (fun scratch c ->
-      let lo = c * sharded_chunk in
-      let len = min sharded_chunk (n - lo) in
-      let rng = Crypto.Rng.of_int64 (chunk_seed ~seed ~base ~chunk:c) in
-      let times = Array.make len 0.0 in
-      let dsts = Array.make len 0 in
-      let draw = Dsort.draw_buffer scratch len in
-      let tmin = ref infinity and tmax = ref neg_infinity in
-      for i = 0 to len - 1 do
-        let l = sched.Scheduler.latency ~rng ~now ~step ~src ~dst:(lo + i) ~payload in
-        let tm = now +. (if l >= 0.0 then l else 0.0) in
-        draw.(i) <- tm;
-        if tm < !tmin then tmin := tm;
-        if tm > !tmax then tmax := tm
-      done;
-      Dsort.sort_into scratch ~tmin:!tmin ~tmax:!tmax ~dst0:lo draw len times dsts;
-      (times, dsts))
-
-(* Deterministic k-way merge of the per-chunk sorted runs into one global
-   delivery-ordered [times]/[order] pair, by (time, dst) — byte-identical
-   for every [jobs]. *)
-let merge_chunks n chunks times order =
-  let arr = Array.of_list chunks in
-  let k = Array.length arr in
-  let cursors = Array.make k 0 in
-  for slot = 0 to n - 1 do
-    let best = ref (-1) and best_d = ref 0 and best_t = ref 0.0 in
-    for j = 0 to k - 1 do
-      let ts, ds = arr.(j) in
-      if cursors.(j) < Array.length ds then begin
-        let d = ds.(cursors.(j)) in
-        let tm = ts.(cursors.(j)) in
-        if !best < 0 || tm < !best_t || (tm = !best_t && d < !best_d) then begin
-          best := j;
-          best_d := d;
-          best_t := tm
-        end
-      end
-    done;
-    times.(slot) <- !best_t;
-    order.(slot) <- !best_d;
-    cursors.(!best) <- cursors.(!best) + 1
-  done
-
-(* Lazy expansion: one broadcast record, one outstanding heap entry.  The
-   latency draws happen here, at broadcast time, from the engine rng in
-   destination order — the exact draws the eager loop makes — so runs are
-   byte-identical either way under any scheduler.  [sharded = Some jobs]
-   switches the draws to derived per-chunk rngs instead (jobs-invariant,
-   but a different stream from eager/lazy). *)
-let lazy_broadcast t ~src ~words ~correct ~sharded m =
-  let base = t.next_id in
+(* One broadcast record for destinations [first .. n-1], envelope ids
+   [base + dst].  The latency draws happen here, at send time, from the
+   engine rng in destination order — the draws n individual enqueues
+   would make — and are sorted into delivery order; destinations are then
+   expanded one at a time as the queue picks them. *)
+let broadcast_record t ~src ~words ~correct ~base ~first m =
+  let len = t.n - first in
   t.next_id <- base + t.n;
   let s = b_alloc t in
   let b = t.bcast in
@@ -427,36 +341,20 @@ let lazy_broadcast t ~src ~words ~correct ~sharded m =
     b.b_order.(s) <- Array.make t.n 0
   end;
   let times = b.b_times.(s) and order = b.b_order.(s) in
-  (match sharded with
-    | Some jobs ->
-        let chunks =
-          sharded_chunks ~jobs ~seed:t.seed ~sched:t.scheduler ~n:t.n ~base ~src ~now:t.now
-            ~step:t.step m
-        in
-        merge_chunks t.n chunks times order
-    | None ->
-        (* The draws happen in destination order — the exact stream the
-           eager loop consumes — then scatter into delivery order. *)
-        let draw = Dsort.draw_buffer t.sort_scratch t.n in
-        let tmin = ref infinity and tmax = ref neg_infinity in
-        for dst = 0 to t.n - 1 do
-          let l =
-            t.scheduler.Scheduler.latency ~rng:t.rng ~now:t.now ~step:t.step ~src ~dst ~payload:m
-          in
-          let tm = t.now +. (if l >= 0.0 then l else 0.0) in
-          draw.(dst) <- tm;
-          if tm < !tmin then tmin := tm;
-          if tm > !tmax then tmax := tm
-        done;
-        Dsort.sort_into t.sort_scratch ~tmin:!tmin ~tmax:!tmax ~dst0:0 draw t.n times order);
-  if correct then begin
-    t.metrics.correct_msgs <- t.metrics.correct_msgs + t.n;
-    t.metrics.correct_words <- t.metrics.correct_words + (t.n * words)
-  end
-  else begin
-    t.metrics.byz_msgs <- t.metrics.byz_msgs + t.n;
-    t.metrics.byz_words <- t.metrics.byz_words + (t.n * words)
-  end;
+  let draw = Dsort.draw_buffer t.sort_scratch len in
+  let tmin = ref infinity and tmax = ref neg_infinity in
+  for i = 0 to len - 1 do
+    let l =
+      t.scheduler.Scheduler.latency ~rng:t.rng ~now:t.now ~step:t.step ~src ~dst:(first + i)
+        ~payload:m
+    in
+    let tm = t.now +. (if l >= 0.0 then l else 0.0) in
+    draw.(i) <- tm;
+    if tm < !tmin then tmin := tm;
+    if tm > !tmax then tmax := tm
+  done;
+  Dsort.sort_into t.sort_scratch ~tmin:!tmin ~tmax:!tmax ~dst0:first draw len times order;
+  count_sends t ~count:len ~words ~correct;
   let depth = t.depth.(src) + 1 in
   b.b_base.(s) <- base;
   b.b_src.(s) <- src;
@@ -465,35 +363,30 @@ let lazy_broadcast t ~src ~words ~correct ~sharded m =
   b.b_sstep.(s) <- t.step;
   b.b_snow.(s) <- t.now;
   b.b_payload.(s) <- Some m;
+  b.b_len.(s) <- len;
   b.b_next.(s) <- 0;
   Heap.push t.queue times.(0) (base + order.(0)) ((s lsl 1) lor 1);
-  fire_meta t.meta_observers ~src ~id:base ~dst:0 ~count:t.n ~words ~depth ~correct m
+  fire_meta t.meta_observers ~src ~id:(base + first) ~dst:first ~count:len ~words ~depth ~correct m
 
+(* With no send hook a broadcast is one record.  With hooks, destination 0
+   goes out first as its own envelope and the hooks see the send; a
+   corruption they make judges the rest, which go out as one record in
+   the sender's new class, or not at all after a crash.  Either way the
+   rng draws, envelope ids, delivery order and metrics are those of n
+   individual enqueues judged destination by destination. *)
 let broadcast t ~src ~words m =
   check_pid t src;
-  match t.procs.(src) with
-  | Crashed -> ()
-  | Unregistered | Correct _ | Byzantine _ -> (
-      let correct =
-        match t.procs.(src) with Unregistered | Correct _ -> true | Crashed | Byzantine _ -> false
-      in
-      (* Per-envelope send observers (the adaptive corruption policies)
-         may corrupt the source between two destinations of the same
-         broadcast; only eager expansion realises those semantics, so
-         their presence forces it.  Meta observers do not. *)
-      if t.send_observers <> [] then eager_broadcast t ~src ~words m
-      else
-        match t.expand with
-        | Eager -> eager_broadcast t ~src ~words m
-        | Lazy -> lazy_broadcast t ~src ~words ~correct ~sharded:None m
-        | Sharded { jobs } ->
-            if t.scheduler.Scheduler.content_oblivious then
-              lazy_broadcast t ~src ~words ~correct ~sharded:(Some jobs) m
-            else
-              (* Sharding replays the scheduler on worker domains; only
-                 content-oblivious schedulers are declared safe for that,
-                 so fall back to the engine-rng lazy path. *)
-              lazy_broadcast t ~src ~words ~correct ~sharded:None m)
+  match (sender_class t src, t.send_hooks) with
+  | None, _ -> ()
+  | Some correct, [] -> broadcast_record t ~src ~words ~correct ~base:t.next_id ~first:0 m
+  | Some correct, hooks -> (
+      let base = t.next_id in
+      send_one t ~src ~dst:0 ~words ~correct m;
+      fire_hooks hooks ~src m;
+      if t.next_id <> base + 1 then invalid_arg "Engine: a send hook must not send";
+      match sender_class t src with
+      | Some correct when t.n > 1 -> broadcast_record t ~src ~words ~correct ~base ~first:1 m
+      | Some _ | None -> ())
 
 let corrupt_crash t pid =
   check_pid t pid;
@@ -506,7 +399,7 @@ let corrupt_byzantine t pid h =
   List.iter (fun obs -> obs pid) t.corrupt_observers
 
 (* Observers fire in registration order (appended, not prepended). *)
-let on_send t obs = t.send_observers <- t.send_observers @ [ obs ]
+let on_sent t hook = t.send_hooks <- t.send_hooks @ [ hook ]
 let on_send_meta t obs = t.meta_observers <- t.meta_observers @ [ obs ]
 let on_deliver t obs = t.deliver_observers <- t.deliver_observers @ [ obs ]
 let on_corrupt t obs = t.corrupt_observers <- t.corrupt_observers @ [ obs ]
@@ -583,7 +476,7 @@ let deliver_top t =
       }
     in
     b.b_next.(s) <- cur + 1;
-    if cur + 1 < t.n then begin
+    if cur + 1 < b.b_len.(s) then begin
       let d' = b.b_order.(s).(cur + 1) in
       Heap.replace_top t.queue b.b_times.(s).(cur + 1) (b.b_base.(s) + d') handle
     end

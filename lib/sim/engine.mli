@@ -17,65 +17,39 @@
 
     In-flight messages live in flat struct-of-arrays arenas (int fields in
     int arrays, payloads in a parallel array); {!Envelope.t} is a view
-    materialized per delivery for observers and handlers.  How a broadcast
-    reaches the event queue is the {!expand} mode:
+    materialized per delivery for observers and handlers.  A broadcast is
+    one record: all n latencies are drawn at broadcast time from the
+    engine rng in destination order, then destinations are expanded one
+    at a time as the queue picks them, with a single outstanding heap
+    entry per broadcast.  Envelope ids, latency draws and delivery order
+    are those of n individual enqueues in destination order (pinned by
+    golden digests in [test/t_sim.ml] and [test/t_ba.ml]).
 
-    - [Eager]: n individual enqueues, the seed behaviour.
-    - [Lazy] (default): one broadcast record; all n latencies are drawn at
-      broadcast time from the engine rng in destination order — the exact
-      draws the eager loop makes — then destinations are expanded one at a
-      time as the queue picks them, with a single outstanding heap entry
-      per broadcast.  Runs are byte-identical to [Eager] under any
-      scheduler on a fixed seed.
-    - [Sharded { jobs }]: like [Lazy], but the latency draws are fanned
-      out over the {!Exec} domain pool in fixed-size destination chunks,
-      each chunk drawing from an rng derived from (engine seed, broadcast
-      id, chunk index), merged deterministically by (time, dst).  Output
-      is byte-identical for every [jobs] value, but is a {e different}
-      (equally valid) schedule than [Eager]/[Lazy].  Requires a
-      {!Scheduler.t} with [content_oblivious = true] whose latency
-      function is safe to call from worker domains (all built-ins are);
-      otherwise the broadcast silently falls back to [Lazy].
+    {2 The adaptive adversary}
 
-    Which hooks force [Eager]: only per-envelope {!on_send} observers.
-    They can corrupt the sender between two destinations of one
-    broadcast, which only eager expansion can realise, so registering
-    one forces eager expansion for subsequent broadcasts regardless of
-    mode.  Today the adaptive policies of {!Faults} are the only ones.
-    Every passive observer ({!Ledger}, {!Trace}, [Obs.Bridge]) uses
-    {!on_send_meta} and {!on_deliver}, so an observed run takes the
-    same expansion path, and the same schedule, as an unobserved one. *)
+    The paper's delayed-adaptive adversary may corrupt a process once it
+    sees it send, but cannot un-send.  {!on_sent} hooks realise that
+    power: they run once per {!send} or {!broadcast}, after its first
+    envelope is on the queue and reported to {!on_send_meta}.  A
+    broadcast under a hook sends destination 0 first; if the hook crashed
+    the sender, the broadcast ends there, otherwise destinations
+    [1 .. n-1] go out as one record in the sender's class after the hook.
+    Passive observers ({!Ledger}, {!Trace}, [Obs.Bridge]) use
+    {!on_send_meta} and {!on_deliver} and never change the run. *)
 
 type 'm t
-
-type expand =
-  | Eager  (** per-destination enqueue, the seed engine's behaviour. *)
-  | Lazy  (** one record per broadcast, expanded on demand; the default. *)
-  | Sharded of { jobs : int }
-      (** lazy with latency draws sharded over the {!Exec} pool;
-          [jobs = 0] resolves to {!Exec.default_jobs}. *)
 
 type run_result =
   | All_done      (** the predicate became true. *)
   | Quiescent     (** no pending messages remain (and predicate is false). *)
   | Step_limit    (** gave up after [max_steps] deliveries. *)
 
-val create :
-  ?scheduler:'m Scheduler.t ->
-  ?expand:expand ->
-  ?queue_capacity:int ->
-  n:int ->
-  seed:int ->
-  unit ->
-  'm t
-(** Default scheduler is {!Scheduler.random}; default expansion is
-    [Lazy].  [queue_capacity] preallocates the event queue (default
-    scales with [n]). *)
+val create : ?scheduler:'m Scheduler.t -> n:int -> seed:int -> unit -> 'm t
+(** Default scheduler is {!Scheduler.random}. *)
 
 val n : 'm t -> int
 val rng : 'm t -> Crypto.Rng.t
 val metrics : 'm t -> Metrics.t
-val expand_mode : 'm t -> expand
 
 val step : 'm t -> int
 (** Number of deliveries so far. *)
@@ -92,7 +66,7 @@ val send : 'm t -> src:int -> dst:int -> words:int -> 'm -> unit
 val broadcast : 'm t -> src:int -> words:int -> 'm -> unit
 (** Send to all [n] processes (including the sender), as in the paper's
     "send to all" steps.  Cost is O(n) latency draws but O(1) queue
-    traffic in [Lazy]/[Sharded] modes. *)
+    traffic. *)
 
 val corrupt_crash : 'm t -> int -> unit
 (** Crash-stop: subsequent deliveries to this process are dropped and it
@@ -122,12 +96,19 @@ val all_correct_monotone : 'm t -> (int -> bool) -> unit -> bool
     is the run: an O(n) [~until] turns a linear-word protocol
     quadratic in wall-clock. *)
 
-val on_send : 'm t -> ('m Envelope.t -> unit) -> unit
-(** Register an adversary observer invoked on every send — the "sees all
-    communication" power, used by adaptive corruption policies.  Observers
-    fire in registration order, after the {!on_send_meta} call for the
-    same envelope.  Registering one forces eager broadcast expansion (see
-    the module header); passive accounting uses {!on_send_meta}. *)
+val on_sent : 'm t -> (src:int -> 'm -> unit) -> unit
+(** Register an adversary hook, the "sees all communication" power of
+    adaptive corruption policies ({!Faults}).  It runs once per {!send}
+    or {!broadcast} from a process that has not crashed, with the sender
+    and the payload, after the first envelope — the unicast, or
+    destination 0 of a broadcast — has been enqueued and reported to
+    {!on_send_meta}.  So a send always comes before the corruption it
+    triggers.  The rest of a broadcast goes out after the hook, in the
+    class the sender then has, or not at all if it crashed.  A hook may
+    corrupt processes but must not send: the rest of the broadcast needs
+    the envelope ids that follow the first, so a broadcast whose hook
+    sends raises [Invalid_argument].  Hooks fire in registration
+    order. *)
 
 val on_send_meta :
   'm t ->
@@ -139,17 +120,15 @@ val on_send_meta :
     {!step} and {!now}.  [correct] is the sender's class as the engine
     judged it, the class the {!Metrics} counters book the words under.
 
-    - Under [Lazy] and [Sharded] expansion a broadcast is one call, with
-      [id] its first envelope, [dst = 0] and [count = n].
-    - Under [Eager] expansion, and for every unicast, each envelope is
-      its own call with [count = 1], made before the {!on_send}
-      observers see that envelope.  So a send is reported before any
-      corruption it triggers, and a broadcast cut by a mid-broadcast
-      corruption is reported destination by destination, each in the
-      class it was sent in.
+    - A unicast is one call with [count = 1].
+    - A broadcast is one call with [id] its first envelope, [dst = 0] and
+      [count = n] when no {!on_sent} hook is registered.
+    - Under a hook, a broadcast is a [count = 1] call for destination 0,
+      made before the hook runs, then, unless the hook crashed the
+      sender or [n = 1], one call for destinations [1 .. n-1] in the
+      class the sender has after the hook.
 
-    Does not force eager expansion.  Observers fire in registration
-    order. *)
+    Observers fire in registration order. *)
 
 val on_deliver : 'm t -> ('m Envelope.t -> unit) -> unit
 (** Observer invoked on every delivery, before the destination handler.

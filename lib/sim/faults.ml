@@ -9,18 +9,8 @@ let byzantine_all eng pids strategy =
 
 let adaptive_crash_first_senders eng ~f =
   let remaining = ref f in
-  Engine.on_send eng (fun e ->
-      let src = e.Envelope.src in
+  Engine.on_sent eng (fun ~src _ ->
       if !remaining > 0 && Engine.is_correct eng src then begin
         decr remaining;
         Engine.corrupt_crash eng src
-      end)
-
-let adaptive_corrupt_when eng ~f trigger strategy =
-  let remaining = ref f in
-  Engine.on_send eng (fun e ->
-      let src = e.Envelope.src in
-      if !remaining > 0 && Engine.is_correct eng src && trigger e then begin
-        decr remaining;
-        Engine.corrupt_byzantine eng src (strategy src)
       end)

@@ -18,10 +18,5 @@ val adaptive_crash_first_senders : 'm Engine.t -> f:int -> unit
 (** Adaptive adversary that crashes the first [f] distinct processes it
     observes sending — legal under the paper's model (corruption is
     adaptive; it just cannot un-send what was already sent, which the
-    engine guarantees). *)
-
-val adaptive_corrupt_when :
-  'm Engine.t -> f:int -> ('m Envelope.t -> bool) -> (int -> 'm Envelope.t -> unit) -> unit
-(** [adaptive_corrupt_when eng ~f trigger strategy] watches all sends and
-    corrupts the sender (until the budget [f] is spent) whenever [trigger]
-    fires on one of its messages. *)
+    engine guarantees).  Runs on {!Engine.on_sent}: a crashed sender's
+    broadcast reaches destination 0 only. *)

@@ -158,9 +158,8 @@ let reset t =
 
 let attach eng t ~tag_of ?round_of () =
   let round_of = match round_of with Some f -> f | None -> fun _ -> 0 in
-  (* The compact meta hook, not the per-envelope [on_send] stream: one
-     call per logical broadcast keeps the engine on its lazy fast path
-     (a per-envelope observer would force eager expansion). *)
+  (* The compact meta hook: one call per logical broadcast, so a
+     broadcast costs one record, not n. *)
   Engine.on_send_meta eng (fun ~src:_ ~id:_ ~dst:_ ~count ~words ~depth:_ ~correct m ->
       record_send_many t ~phase:(tag_of m) ~round:(round_of m) ~correct ~words ~count);
   Engine.on_deliver eng (fun e ->

@@ -69,11 +69,9 @@ val attach :
 (** Subscribe the ledger to an engine's observer streams.  [tag_of]
     names the phase (the protocol's [tag_of_msg]); [round_of] (default:
     constant 0) extracts the round.  Sends are consumed through
-    {!Engine.on_send_meta} — one call per logical broadcast under lazy
-    expansion, one per envelope under eager, with the sender class the
-    engine judged at send time — so attachment keeps the engine's lazy
-    broadcast fast path (a per-envelope [on_send] observer would force
-    eager expansion). *)
+    {!Engine.on_send_meta} — one call per logical broadcast (two under
+    an adaptive send hook), with the sender class the engine judged at
+    send time — so a broadcast costs the ledger one record, not [n]. *)
 
 val phases : t -> string list
 (** Phases in first-seen order. *)

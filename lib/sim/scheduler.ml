@@ -1,7 +1,7 @@
 type 'm latency_fn =
   rng:Crypto.Rng.t -> now:float -> step:int -> src:int -> dst:int -> payload:'m -> float
 
-type 'm t = { name : string; content_oblivious : bool; latency : 'm latency_fn }
+type 'm t = { latency : 'm latency_fn }
 
 let exponential rng mean =
   (* Inverse-CDF sampling; clamp the uniform draw away from 0.  Spelled
@@ -12,23 +12,12 @@ let exponential rng mean =
   -.mean *. log u
 
 let random ?(mean = 1.0) () =
-  {
-    name = "random";
-    content_oblivious = true;
-    latency = (fun ~rng ~now:_ ~step:_ ~src:_ ~dst:_ ~payload:_ -> exponential rng mean);
-  }
+  { latency = (fun ~rng ~now:_ ~step:_ ~src:_ ~dst:_ ~payload:_ -> exponential rng mean) }
 
-let fifo () =
-  {
-    name = "fifo";
-    content_oblivious = true;
-    latency = (fun ~rng:_ ~now:_ ~step:_ ~src:_ ~dst:_ ~payload:_ -> 0.0);
-  }
+let fifo () = { latency = (fun ~rng:_ ~now:_ ~step:_ ~src:_ ~dst:_ ~payload:_ -> 0.0) }
 
 let targeted ~victims ~factor ?(mean = 1.0) () =
   {
-    name = "targeted";
-    content_oblivious = true;
     latency =
       (fun ~rng ~now:_ ~step:_ ~src ~dst:_ ~payload:_ ->
         let l = exponential rng mean in
@@ -37,8 +26,6 @@ let targeted ~victims ~factor ?(mean = 1.0) () =
 
 let split ~group ~cross_delay ?(mean = 1.0) () =
   {
-    name = "split";
-    content_oblivious = true;
     latency =
       (fun ~rng ~now:_ ~step:_ ~src ~dst ~payload:_ ->
         let l = exponential rng mean in
@@ -47,8 +34,6 @@ let split ~group ~cross_delay ?(mean = 1.0) () =
 
 let eventual_sync ?(gst = 50.0) ?(bound = 1.0) ?(chaos_mean = 20.0) () =
   {
-    name = "eventual-sync";
-    content_oblivious = true;
     latency =
       (fun ~rng ~now ~step:_ ~src:_ ~dst:_ ~payload:_ ->
         if now < gst then
@@ -57,4 +42,4 @@ let eventual_sync ?(gst = 50.0) ?(bound = 1.0) ?(chaos_mean = 20.0) () =
         else Crypto.Rng.float rng bound);
   }
 
-let custom ~name ~content_oblivious latency = { name; content_oblivious; latency }
+let custom latency = { latency }

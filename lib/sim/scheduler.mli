@@ -9,19 +9,14 @@
 
     The {b delayed-adaptive} restriction (Definition 2.1) says the
     scheduling of a message may depend on the content of another message
-    [m] only if [m] causally precedes it.  Schedulers whose
-    [content_oblivious] flag is [true] never inspect payloads at all — a
-    strictly stronger property that trivially satisfies the definition.
-    Experiment E7 uses a deliberately non-compliant scheduler (built with
-    {!custom}) to show why the restriction matters. *)
+    [m] only if [m] causally precedes it.  Every built-in scheduler is
+    content-oblivious — its latency never reads a payload — a strictly
+    stronger property that trivially satisfies the definition.  A
+    {!custom} latency function carries no such guarantee.  The engine
+    calls the latency function at send time, once per destination, in
+    destination order within a broadcast. *)
 
-type 'm t = {
-  name : string;
-  content_oblivious : bool;
-      (** [true] when latency never depends on any payload; such a
-          scheduler satisfies the delayed-adaptive restriction. *)
-  latency : 'm latency_fn;
-}
+type 'm t = { latency : 'm latency_fn }
 
 and 'm latency_fn =
   rng:Crypto.Rng.t -> now:float -> step:int -> src:int -> dst:int -> payload:'m -> float
@@ -52,7 +47,6 @@ val eventual_sync : ?gst:float -> ?bound:float -> ?chaos_mean:float -> unit -> '
     The model under which Algorand's follow-up operates; our protocols
     must stay safe throughout and get fast after GST. *)
 
-val custom :
-  name:string -> content_oblivious:bool -> 'm latency_fn -> 'm t
+val custom : 'm latency_fn -> 'm t
 (** Escape hatch for experiment-specific (including deliberately cheating)
     adversaries. *)

@@ -75,8 +75,7 @@ let record t ~kind ~step ~id ~src ~dst ~depth ~words =
   t.total <- t.total + 1
 
 (* One meta call covers envelopes [id + k] to [dst + k]; they are written
-   as [count] Sent events in that order, the order eager expansion sends
-   them in. *)
+   as [count] Sent events in that order, destination order. *)
 let attach t eng =
   Engine.on_send_meta eng (fun ~src ~id ~dst ~count ~words ~depth ~correct:_ _ ->
       let step = Engine.step eng in

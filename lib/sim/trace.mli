@@ -4,10 +4,10 @@
     tests ("no correct process sent after X", "message m was delivered to
     everyone").  Events are recorded through the engine's compact send
     hook ({!Engine.on_send_meta}), its delivery hook and its corruption
-    hook.  None of these forces eager expansion, so attaching a trace
-    never changes an execution, nor the path the engine takes to run it.
-    A broadcast's [n] [Sent] events are written when it is sent, in
-    destination order, as eager expansion would send them.
+    hook, so attaching a trace never changes an execution, nor the path
+    the engine takes to run it.  A broadcast's [n] [Sent] events are
+    written when it is sent, in destination order, with envelope ids
+    ascending.
 
     {2 Storage and memory}
 

@@ -197,50 +197,106 @@ let run_observed ~params ~n run =
   in
   (o, docs)
 
+let outcome_line (o : Runner.outcome) =
+  Printf.sprintf "%d [%s] %b %b %d %d %d %d %h %d %s" o.Runner.n
+    (String.concat ";" (List.map (fun (p, d) -> Printf.sprintf "%d:%d" p d) o.Runner.decisions))
+    o.Runner.all_decided o.Runner.agreement o.Runner.rounds o.Runner.words o.Runner.msgs
+    o.Runner.depth o.Runner.vtime o.Runner.steps
+    (match o.Runner.result with
+    | Sim.Engine.All_done -> "all-done"
+    | Quiescent -> "quiescent"
+    | Step_limit -> "step-limit")
+
 let test_eager_lazy_ledger_identical () =
-  (* Lazy multicast must leave protocol-level runs byte-identical to eager
-     expansion: same outcome record (decisions, words, depth, vtime, run
-     result) and the same exported documents — ledger, metrics, events
-     and Chrome trace — at several n on fixed seeds.  Under eager
-     expansion the observers see one send call per envelope, under lazy
-     one per broadcast; the documents must not tell them apart.  The
-     step cap bounds the n = 256 instance; equivalence over a capped
-     prefix is just as binding. *)
+  (* Protocol-level runs must stay byte-identical to the engine that
+     enqueued every broadcast destination individually (eager expansion,
+     retired since): the outcome record (decisions, words, depth, vtime,
+     run result) and the exported documents — ledger, metrics, events and
+     Chrome trace — digested at several n on fixed seeds.  Eager runs
+     reported one send call per envelope, broadcast records one per
+     broadcast; the documents must not tell them apart.  The adaptive
+     runs crash the first f senders through the send hook, which cuts
+     their broadcasts after destination 0.  The step cap bounds the
+     n = 256 instance; equivalence over a capped prefix is just as
+     binding. *)
   List.iter
-    (fun n ->
+    (fun (n, adaptive, expected) ->
       let kr = Vrf.Keyring.create ~backend:Vrf.Mock ~n ~seed:"equiv" () in
       let params = Tutil.robust_params n in
       let inputs = Array.init n (fun i -> i mod 2) in
-      let run expand =
+      let corruption =
+        if adaptive then Runner.Crash_adaptive_first params.Params.f else Runner.Honest
+      in
+      let o, docs =
         run_observed ~params ~n (fun probe ->
-            Runner.run_ba ~expand ~probe ~max_steps:150_000 ~keyring:kr ~params ~inputs
+            Runner.run_ba ~probe ~corruption ~max_steps:150_000 ~keyring:kr ~params ~inputs
               ~seed:(1000 + n) ())
       in
-      let eager_o, eager_docs = run Sim.Engine.Eager in
-      let lazy_o, lazy_docs = run Sim.Engine.Lazy in
-      Alcotest.(check bool) (Printf.sprintf "outcome identical at n=%d" n) true (eager_o = lazy_o);
       List.iter2
-        (fun (what, e) (_, l) ->
-          Alcotest.(check bool) (Printf.sprintf "%s identical at n=%d" what n) true (String.equal e l))
-        eager_docs lazy_docs)
-    [ 16; 64; 256 ]
+        (fun (what, doc) digest ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s at n=%d%s" what n (if adaptive then " (adaptive)" else ""))
+            digest
+            (Crypto.Hex.encode (Crypto.Sha256.digest doc)))
+        (("outcome", outcome_line o) :: docs)
+        expected)
+    [
+      ( 16, false,
+        [
+          "4b84837d5649291311856689308246ab71f235110ce49ae053d83547eb45c6e7";
+          "aef180d74efefb0eafc5380acb40169f54e8837a55da4a327c8cac665479fff8";
+          "27acd331331b6c821820cf7d73990b9c5a68f60fca229c9338b19b418a951107";
+          "451e71a3527adf5e0278b81ce2e6e4c5c8435a8faa39c92612d08eb0305f33c3";
+          "3a022965feebb4c05da1aa559483614c8a4ab8ed7b6667fcd1239a251a0b083f";
+        ] );
+      ( 64, false,
+        [
+          "aa4686e026cf883250bdac686e525bab5805eb19e3c200dd58e384540971a928";
+          "a563022f4a039c782c4a22d2c5e085fdf9cad9c4870f01e62f084a413dc83c07";
+          "9f21713515fb0a279d03149dfe0e0612b5f5271edf2f78a80e44b13b722c47d3";
+          "29f71fcab4e025b5bcdbe9be8550c1f298410590e7c7f20a60bcb17e57818ce0";
+          "bef397bd5a888831a2f8e05bce1f8783cd711b3e8c572121778e9580cc42104b";
+        ] );
+      ( 256, false,
+        [
+          "912b9fa429d3fe2b7cd875d8ec4f76668dc3122172203fedd24ff321116ba79c";
+          "4d52e72ea32e45ee81315261c34a8926bb1bea466f1ce285e70dd58be2259fbc";
+          "dfd01c5d97c1e406ab90e98aa75faca9779e30ac6e6efa55ce85462d491175a4";
+          "13006d2ef5187ddadc4872e21af46478585b83f6a966f7659b3833b173b1165f";
+          "212e1421ad557733facc4ce33c4c480658735d51a5da8a58623527a85250fe56";
+        ] );
+      ( 16, true,
+        [
+          "4d6a0e4bae800251faca76fc21c1618ec6a83caf845cd12aa3810d1ac052e58c";
+          "57937523dc4a891bd4588dbdf202929681c03dd904adf97ba6f469ca61e81261";
+          "2f5f4a6e914cd4f37ff06b9c6719a21f592cd5e244ec329e0a756b4f87962174";
+          "020745c2c6b92099abe9a1a040ee4cfdde221294dba024fe24bd80e358ca71ec";
+          "01e830ff3bde7e943ac501d04c766976614bba9de27d60dc1b3fd0bfe77b1199";
+        ] );
+      ( 64, true,
+        [
+          "598b98b8fd42495b36d9bb92e8f4d9638cce682fe3ce150aa1a1b340b8257458";
+          "acba94edebbe9797a7a750876da7bf2598ab304c3d408ed42f138476014d68d3";
+          "ddb03fcbfa01c880ee7e26ab6e8e98fd56882ea351d7edbe5cde4a799104e8c6";
+          "9a1b9b81dfa0ed5dd2c7a64b741b53915b496c81c1a5387042e9caafa9f8e49e";
+          "a28feccb08f8d7364fe486fcc8299c4d06ddcf32e629abdd10de909f2697f463";
+        ] );
+    ]
 
-(* Watching must not change the run, under the expansion modes that do
-   not force eager: before the observers moved to the compact send hook,
-   attaching them switched a Sharded run to eager expansion, a different
-   schedule (3,805,184 words instead of 3,804,800 here). *)
+(* Watching must not change the run, with or without the adaptive
+   adversary's send hook. *)
 let test_observers_keep_the_run () =
   let n = 64 in
   let kr = Vrf.Keyring.create ~backend:Vrf.Mock ~n ~seed:"watch" () in
   let params = Params.make_exn ~strict:false ~epsilon:0.25 ~d:0.04 ~lambda:n ~n () in
   let inputs = Array.init n (fun i -> i mod 2) in
   List.iter
-    (fun (name, expand) ->
-      let run probe = Runner.run_ba ~expand ?probe ~keyring:kr ~params ~inputs ~seed:5 () in
+    (fun (name, corruption) ->
+      let run probe = Runner.run_ba ?probe ~corruption ~keyring:kr ~params ~inputs ~seed:5 () in
       let plain = run None in
       let watched, _ = run_observed ~params ~n (fun probe -> run (Some probe)) in
       Alcotest.(check bool) (name ^ ": outcome identical with observers") true (plain = watched))
-    [ ("lazy", Sim.Engine.Lazy); ("sharded jobs=1", Sim.Engine.Sharded { jobs = 1 }) ]
+    [ ("honest", Runner.Honest); ("adaptive", Runner.Crash_adaptive_first params.Params.f) ]
 
 (* What a warm, unobserved run allocates per delivery at n = 64 with
    partial committees (lambda = 48, W = 38), the keyring's caches filled
@@ -271,7 +327,7 @@ let suite =
   [
     Alcotest.test_case "validity ones" `Quick test_validity_all_ones;
     Alcotest.test_case "eager/lazy ledger identical" `Quick test_eager_lazy_ledger_identical;
-    Alcotest.test_case "observers keep lazy and sharded runs" `Quick test_observers_keep_the_run;
+    Alcotest.test_case "observers keep the run" `Quick test_observers_keep_the_run;
     Alcotest.test_case "validity zeros" `Quick test_validity_all_zeros;
     Alcotest.test_case "mixed inputs" `Slow test_mixed_inputs;
     Alcotest.test_case "one dissenter" `Quick test_one_dissenter;

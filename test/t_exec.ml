@@ -104,6 +104,21 @@ let test_estimate_ba_jobs () =
   Alcotest.(check int) "sane trial count" 8 reference.Analysis.trials;
   Alcotest.(check bool) "jobs=4 byte-identical" true (est 4 = reference)
 
+(* The adaptive adversary's per-send hook keeps its own set of crashed
+   senders per engine; a trial must see the same crashes and cut the same
+   broadcasts whichever worker runs it. *)
+let test_estimate_ba_adaptive_jobs () =
+  let p = Lazy.force params in
+  let est ?(corruption = Runner.Crash_adaptive_first p.Params.f) jobs =
+    Analysis.estimate_ba ~jobs ~corruption ~keyring:(Lazy.force keyring) ~params:p ~trials:8
+      ~base_seed:33 ()
+  in
+  let reference = est 1 in
+  Alcotest.(check bool) "some adaptive trial completes" true (reference.Analysis.complete > 0);
+  Alcotest.(check bool) "crashes cut words" true
+    (reference.Analysis.words.Stats.mean < (est ~corruption:Runner.Honest 1).Analysis.words.Stats.mean);
+  Alcotest.(check bool) "jobs=4 byte-identical" true (est 4 = reference)
+
 (* The tentpole determinism claim for sharded metrics: the merged
    registry serialises byte-identically at any worker count, because
    trials are index-sharded and campaign observations are integer-valued
@@ -246,34 +261,6 @@ let test_cache_bound_validated () =
     (Invalid_argument "Keyring.create: cache_bound must be >= 0") (fun () ->
       ignore (Vrf.Keyring.create ~cache_bound:(-1) ~n:2 ~seed:"x" ()))
 
-(* ---------------- Sharded delivery loop ---------------- *)
-
-let test_sharded_delivery_jobs_invariant () =
-  (* The engine's Sharded expansion partitions destination draws into
-     fixed 16384-wide chunks with per-chunk derived rngs, so the delivery
-     stream must be byte-identical at any worker count.  n > 16384 forces
-     multiple chunks — with a single chunk the test would be vacuous. *)
-  let log expand =
-    let n = 40_000 in
-    let eng : int Sim.Engine.t = Sim.Engine.create ~expand ~n ~seed:97 () in
-    let log = ref [] in
-    Sim.Engine.on_deliver eng (fun e ->
-        log :=
-          (e.Sim.Envelope.id, e.Sim.Envelope.dst, e.Sim.Envelope.payload, e.Sim.Envelope.sent_now)
-          :: !log);
-    for pid = 0 to n - 1 do
-      Sim.Engine.set_handler eng pid (fun _ -> ())
-    done;
-    Sim.Engine.broadcast eng ~src:0 ~words:1 5;
-    Sim.Engine.broadcast eng ~src:1 ~words:1 6;
-    ignore (Sim.Engine.run eng ~until:(fun () -> false));
-    !log
-  in
-  let j1 = log (Sim.Engine.Sharded { jobs = 1 }) in
-  let j4 = log (Sim.Engine.Sharded { jobs = 4 }) in
-  Alcotest.(check int) "all delivered" (2 * 40_000) (List.length j1);
-  Alcotest.(check bool) "jobs-invariant delivery stream" true (j1 = j4)
-
 let suite =
   [
     Alcotest.test_case "map ordered at any jobs" `Quick test_map_ordered;
@@ -287,8 +274,8 @@ let suite =
     Alcotest.test_case "ba estimator jobs-invariant" `Quick test_estimate_ba_jobs;
     Alcotest.test_case "sharded metrics merge jobs-invariant" `Quick
       test_sharded_metrics_jobs_invariant;
-    Alcotest.test_case "sharded delivery jobs-invariant" `Quick
-      test_sharded_delivery_jobs_invariant;
+    Alcotest.test_case "adaptive ba estimator jobs-invariant" `Quick
+      test_estimate_ba_adaptive_jobs;
     Alcotest.test_case "trials <= 0 rejected" `Quick test_trials_rejected;
     Alcotest.test_case "keyring clone observationally identical" `Quick test_clone_identical;
     Alcotest.test_case "verify memo differential (vrf)" `Quick test_cache_differential;
