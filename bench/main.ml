@@ -1120,15 +1120,13 @@ let micro () =
         (Staged.stage (fun () -> Crypto.Hmac.sha256 ~key:"key" input_64));
       Test.make ~name:"modpow-512b" (Staged.stage (fun () -> Bignum.Bigint.Mont.pow mont base exp));
       (* window-vs-binary ladder on a full-width exponent, and the raw
-         multiply-vs-square kernels the ladders are built from *)
+         multiply kernel the ladders are built from (it squares too) *)
       Test.make ~name:"modpow-512b-window"
         (Staged.stage (fun () -> Bignum.Bigint.Mont.pow mont base exp_512));
       Test.make ~name:"modpow-512b-binary"
         (Staged.stage (fun () -> Bignum.Bigint.Mont.pow_binary mont base exp_512));
       Test.make ~name:"mont-mul-512b"
         (Staged.stage (fun () -> Bignum.Bigint.Mont.mul mont elem_a elem_b));
-      Test.make ~name:"mont-sqr-512b"
-        (Staged.stage (fun () -> Bignum.Bigint.Mont.sqr mont elem_a));
       Test.make ~name:"rsa512-sign" (Staged.stage (fun () -> Rsa.sign rsa_sk "bench-message"));
       Test.make ~name:"rsa512-sign-plain"
         (Staged.stage (fun () -> Rsa.sign_plain rsa_sk "bench-message"));

@@ -576,8 +576,8 @@ let modpow_generic b e m =
    representation; Mont re-exports a context API on top of this.
 
    Residues ("elements") are fully reduced len-limb arrays in the
-   Montgomery domain (x*R mod m with R = base^len).  The kernels below
-   accumulate into a per-context scratch buffer and write their result
+   Montgomery domain (x*R mod m with R = base^len).  The kernel below
+   accumulates into a per-context scratch buffer and writes its result
    into a caller-provided destination, so an exponentiation loop performs
    zero per-step allocation.  Contexts are therefore not re-entrant: one
    kernel call at a time per context. *)
@@ -588,7 +588,7 @@ type mont_ctx = {
   n0' : int;                  (* -m^{-1} mod base *)
   r2 : int array;             (* R^2 mod m, for conversion *)
   one_m : int array;          (* R mod m: 1 in Montgomery form *)
-  scratch : int array;        (* 2*len+2 limbs shared by all kernel calls *)
+  scratch : int array;        (* len+1 limbs shared by all kernel calls *)
   m_big : t;
 }
 
@@ -615,25 +615,25 @@ let mont_create m =
     n0';
     r2 = pad r2;
     one_m = pad r;
-    scratch = Array.make ((2 * len) + 2) 0;
+    scratch = Array.make (len + 1) 0;
     m_big = m;
   }
 
-(* Copy the len-limb value at [t.(off) .. t.(off+len-1)] (with overflow
-   limb at [t.(off+len)]) into [dst], subtracting m once if needed.  Both
-   kernels leave a value < 2m here, so one conditional subtraction fully
+(* Copy the len-limb value at [t.(0) .. t.(len-1)] (with overflow limb at
+   [t.(len)]) into [dst], subtracting m once if needed.  The kernel
+   leaves a value < 2m here, so one conditional subtraction fully
    reduces. *)
-let mont_reduce_out ctx dst t off =
+let mont_reduce_out ctx dst t =
   let len = ctx.len and m = ctx.m_mag in
   (* A loop, not a local recursive function: without flambda a closure
-     over [t], [off] and [m] would be allocated on every kernel call. *)
+     over [t] and [m] would be allocated on every kernel call. *)
   let i = ref (len - 1) in
-  while !i >= 0 && t.(off + !i) = m.(!i) do decr i done;
-  let ge = t.(off + len) > 0 || !i < 0 || t.(off + !i) > m.(!i) in
+  while !i >= 0 && t.(!i) = m.(!i) do decr i done;
+  let ge = t.(len) > 0 || !i < 0 || t.(!i) > m.(!i) in
   if ge then begin
     let borrow = ref 0 in
     for i = 0 to len - 1 do
-      let s = t.(off + i) - m.(i) - !borrow in
+      let s = t.(i) - m.(i) - !borrow in
       if s < 0 then begin
         dst.(i) <- s + base;
         borrow := 1
@@ -644,11 +644,12 @@ let mont_reduce_out ctx dst t off =
       end
     done
   end
-  else Array.blit t off dst 0 len
+  else Array.blit t 0 dst 0 len
 
 (* Fused CIOS Montgomery multiplication: dst <- a*b*R^{-1} mod m.  [dst]
    may alias [a] or [b] (the accumulator is the context scratch; [dst] is
-   written only at the very end).
+   written only at the very end), so [mont_mul_into ctx x x x] squares in
+   place: every ladder below squares this way.
 
    Inputs must be fully reduced (< m), which every producer in this file
    guarantees; then the standard CIOS invariant keeps the accumulator
@@ -659,7 +660,7 @@ let mont_reduce_out ctx dst t off =
    Montgomery reduction step: cur = t_j + a_i*b_j + u*m_j + carry is at
    most 2^26 + 2*(2^26-1)^2 + 2^28 < 2^54, comfortably inside the native
    int.  Indices are bounded by [len <= Array.length] of every array
-   involved (a, b, m are len limbs; t is 2*len+2), so the unsafe accesses
+   involved (a, b, m are len limbs; t is len+1), so the unsafe accesses
    below are in range by construction. *)
 let mont_mul_into ctx dst a b =
   let len = ctx.len in
@@ -684,103 +685,7 @@ let mont_mul_into ctx dst a b =
     Array.unsafe_set t (len - 1) (cur land mask);
     Array.unsafe_set t len (cur lsr limb_bits)
   done;
-  mont_reduce_out ctx dst t 0
-
-(* Dedicated Montgomery squaring: dst <- a*a*R^{-1} mod m, [dst] may alias
-   [a].  SOS layout: first the full 2*len-limb square, exploiting the
-   symmetry a_i*a_j = a_j*a_i (each cross product computed once and
-   doubled — roughly half the single-limb multiplies of mont_mul), then a
-   separate reduction sweep.  All accumulations stay below 2^54 < 2^62:
-   cross products are < 2^53 after doubling, limbs and carries add < 2^28. *)
-let mont_sqr_into ctx dst a =
-  let len = ctx.len in
-  let m = ctx.m_mag in
-  let t = ctx.scratch in
-  Array.fill t 0 ((2 * len) + 2) 0;
-  (* squaring sweep; all indices at most 2*len-1 + the final carry limb,
-     within the 2*len+2 scratch *)
-  for i = 0 to len - 1 do
-    let ai = Array.unsafe_get a i in
-    if ai <> 0 then begin
-      let cur = Array.unsafe_get t (2 * i) + (ai * ai) in
-      Array.unsafe_set t (2 * i) (cur land mask);
-      let carry = ref (cur lsr limb_bits) in
-      let ai2 = 2 * ai in
-      for j = i + 1 to len - 1 do
-        let cur = Array.unsafe_get t (i + j) + (ai2 * Array.unsafe_get a j) + !carry in
-        Array.unsafe_set t (i + j) (cur land mask);
-        carry := cur lsr limb_bits
-      done;
-      let k = ref (i + len) in
-      while !carry <> 0 do
-        let cur = Array.unsafe_get t !k + !carry in
-        Array.unsafe_set t !k (cur land mask);
-        carry := cur lsr limb_bits;
-        incr k
-      done
-    end
-  done;
-  (* Reduction sweep: add u_i * m * base^i to clear the low len limbs,
-     two limbs per pass.  u0 clears limb i; u1 is derived from limb i+1
-     *after* u0's contribution to it, so both limbs vanish, and the inner
-     loop applies u0*m[j] + u1*m[j-1] together — the same multiply count
-     as two single passes in half the iterations (loop and memory-traffic
-     overhead dominate at 26-bit limb sizes).  Cleared limbs below [len]
-     are simply left stale: only [t.(len..2*len)] is read afterwards.
-     Bounds: cur < 2^26 + 2*(2^26-1)^2 + 2^28 < 2^54. *)
-  let m0 = Array.unsafe_get m 0 in
-  let i = ref 0 in
-  while !i < len do
-    let i0 = !i in
-    if i0 + 1 < len then begin
-      let m1 = Array.unsafe_get m 1 in
-      let u0 = (Array.unsafe_get t i0 * ctx.n0') land mask in
-      let c0 = (Array.unsafe_get t i0 + (u0 * m0)) lsr limb_bits in
-      let v1 = Array.unsafe_get t (i0 + 1) + (u0 * m1) + c0 in
-      let u1 = ((v1 land mask) * ctx.n0') land mask in
-      let carry = ref ((v1 + (u1 * m0)) lsr limb_bits) in
-      for j = 2 to len - 1 do
-        let cur =
-          Array.unsafe_get t (i0 + j)
-          + (u0 * Array.unsafe_get m j)
-          + (u1 * Array.unsafe_get m (j - 1))
-          + !carry
-        in
-        Array.unsafe_set t (i0 + j) (cur land mask);
-        carry := cur lsr limb_bits
-      done;
-      let cur = Array.unsafe_get t (i0 + len) + (u1 * Array.unsafe_get m (len - 1)) + !carry in
-      Array.unsafe_set t (i0 + len) (cur land mask);
-      carry := cur lsr limb_bits;
-      let k = ref (i0 + len + 1) in
-      while !carry <> 0 do
-        let cur = Array.unsafe_get t !k + !carry in
-        Array.unsafe_set t !k (cur land mask);
-        carry := cur lsr limb_bits;
-        incr k
-      done;
-      i := i0 + 2
-    end
-    else begin
-      (* odd tail: one classic single-limb reduction step *)
-      let u = (Array.unsafe_get t i0 * ctx.n0') land mask in
-      let carry = ref ((Array.unsafe_get t i0 + (u * m0)) lsr limb_bits) in
-      for j = 1 to len - 1 do
-        let cur = Array.unsafe_get t (i0 + j) + (u * Array.unsafe_get m j) + !carry in
-        Array.unsafe_set t (i0 + j) (cur land mask);
-        carry := cur lsr limb_bits
-      done;
-      let k = ref (i0 + len) in
-      while !carry <> 0 do
-        let cur = Array.unsafe_get t !k + !carry in
-        Array.unsafe_set t !k (cur land mask);
-        carry := cur lsr limb_bits;
-        incr k
-      done;
-      i := i0 + 1
-    end
-  done;
-  mont_reduce_out ctx dst t len
+  mont_reduce_out ctx dst t
 
 let mont_pad ctx a = Array.append a.mag (Array.make (ctx.len - Array.length a.mag) 0)
 
@@ -803,7 +708,7 @@ let mont_to_bigint ctx a =
 let mont_pow_elem_binary ctx bm e =
   let acc = Array.copy ctx.one_m in
   for i = bit_length e - 1 downto 0 do
-    mont_sqr_into ctx acc acc;
+    mont_mul_into ctx acc acc acc;
     if test_bit e i then mont_mul_into ctx acc acc bm
   done;
   acc
@@ -818,7 +723,7 @@ let mont_odd_powers ctx bm w =
   let tbl = Array.make (1 lsl (w - 1)) bm in
   if w > 1 then begin
     let b2 = Array.make ctx.len 0 in
-    mont_sqr_into ctx b2 bm;
+    mont_mul_into ctx b2 bm bm;
     for k = 1 to Array.length tbl - 1 do
       let p = Array.make ctx.len 0 in
       mont_mul_into ctx p tbl.(k - 1) b2;
@@ -883,7 +788,7 @@ let mont_pow2_elem ctx b1 e1 b2 e2 =
   let c1 = window_cursor ctx b1 e1 and c2 = window_cursor ctx b2 e2 in
   let acc = Array.copy ctx.one_m in
   for i = max c1.hi c2.hi downto 0 do
-    mont_sqr_into ctx acc acc;
+    mont_mul_into ctx acc acc acc;
     window_step ctx acc c1 i;
     window_step ctx acc c2 i
   done;
@@ -911,7 +816,7 @@ let mont_comb ctx bm ~bits =
   for r = 1 to comb_rows - 1 do
     let x = Array.copy rows.(1 lsl (r - 1)) in
     for _ = 1 to cols do
-      mont_sqr_into ctx x x
+      mont_mul_into ctx x x x
     done;
     rows.(1 lsl r) <- x
   done;
@@ -949,7 +854,7 @@ let mont_comb_pow2 ctx c1 e1 c2 e2 =
   let cols = c1.cols in
   let acc = Array.copy ctx.one_m in
   for k = cols - 1 downto 0 do
-    mont_sqr_into ctx acc acc;
+    mont_mul_into ctx acc acc acc;
     let d1 = comb_column e1 cols k and d2 = comb_column e2 cols k in
     if d1 <> 0 then mont_mul_into ctx acc acc c1.rows.(d1);
     if d2 <> 0 then mont_mul_into ctx acc acc c2.rows.(d2)
@@ -986,11 +891,6 @@ module Mont = struct
   let mul ctx a b =
     let dst = Array.make ctx.len 0 in
     mont_mul_into ctx dst a b;
-    dst
-
-  let sqr ctx a =
-    let dst = Array.make ctx.len 0 in
-    mont_sqr_into ctx dst a;
     dst
 
   (* Montgomery residues are fully reduced, so the map value -> limbs is

@@ -131,9 +131,9 @@ val jacobi : t -> t -> int
     modulus serves many operations.
 
     [elem] is a residue in the Montgomery domain, tied to the context that
-    produced it.  [mul]/[sqr] stay in that domain; [sqr a] equals
-    [mul a a] bit-for-bit but runs on a dedicated squaring kernel that
-    computes each cross product once.  [pow] uses a sliding-window ladder
+    produced it.  [mul] stays in that domain, and squares too: [mul a a]
+    beats a dedicated squaring kernel at every size this code uses (161,
+    256 and 512 bits), so there is none.  [pow] uses a sliding-window ladder
     with a precomputed odd-power table (window width adapted to the
     exponent size); [pow_binary] is the plain square-and-multiply ladder
     kept as the differential reference.  [pow2] and the comb functions
@@ -162,7 +162,6 @@ module Mont : sig
   val of_mont : t -> elem -> bigint
 
   val mul : t -> elem -> elem -> elem
-  val sqr : t -> elem -> elem
 
   val elem_equal : elem -> elem -> bool
   (** Equality mod m (residues are canonical). *)

@@ -47,8 +47,8 @@ let miller_rabin ~rounds ~random n =
   let d, s = split n_minus_1 0 in
   let mont = Bigint.Mont.create n in
   (* The witness loop runs entirely in the Montgomery domain: one
-     conversion per base, then the windowed ladder plus s-1 dedicated
-     squarings, comparing against precomputed residues of 1 and n-1. *)
+     conversion per base, then the windowed ladder plus s-1 squarings,
+     comparing against precomputed residues of 1 and n-1. *)
   let one_m = Bigint.Mont.to_mont mont Bigint.one in
   let n_minus_1_m = Bigint.Mont.to_mont mont n_minus_1 in
   let witness a =
@@ -59,7 +59,7 @@ let miller_rabin ~rounds ~random n =
       let composite = ref true in
       (try
          for _ = 1 to s - 1 do
-           x := Bigint.Mont.sqr mont !x;
+           x := Bigint.Mont.mul mont !x !x;
            if Bigint.Mont.elem_equal !x n_minus_1_m then begin
              composite := false;
              raise Exit

@@ -46,14 +46,12 @@ let cache () =
    exactly the members of its ground-truth committee (Sample.Directory),
    so the rank is a dense per-phase index. *)
 type value_state = {
-  vs_s_echo : string;
+  vs_echo : (Sample.cert * string) Sample.Phase.t;
   vs_echo_payload : string;
-  vs_echo_comm : Sample.Directory.comm;
-  vs_echo_memo : (Sample.cert * string) Sample.Memo.slot array;
-  init_seen : Sim.Bitset.t;
+  init_seen : Sample.Seen.t;
   mutable init_count : int;
   mutable echoed : bool;
-  echo_seen : Sim.Bitset.t;
+  echo_seen : Sample.Seen.t;
   mutable echo_count : int;
   (* The first W accepted echoes in arrival order, min(echo_count, W) of
      them: the support of an OK for this value.  Allocated at the first. *)
@@ -69,21 +67,19 @@ type t = {
   instance : string;
   dir : Sample.Directory.t;
   cache : cache;
-  s_init : string;
-  s_ok : string;
-  init_comm : Sample.Directory.comm;
-  ok_comm : Sample.Directory.comm;
-  init_memo : Sample.cert Sample.Memo.slot array;
-  ok_memo : (int * Sample.cert * echo_evidence list) Sample.Memo.slot array;
+  init : Sample.cert Sample.Phase.t;
+  ok : (int * Sample.cert * echo_evidence list) Sample.Phase.t;
   mutable values : (int * value_state) list;
       (* per-value receive state, sorted ascending by value: at most the
          two binary inputs plus bot ever appear, and a deterministic
          iteration order keeps emitted-action order independent of
          hashing internals (coinlint hashtbl-iter) *)
   mutable my_input : int option;
-  mutable ok_cert : Sample.cert option;  (* our OK-committee certificate *)
+  mutable ok_cert : Sample.cert option;
+      (* our OK-committee certificate, member or not: sampled when an echo
+         threshold first fires after our input *)
   mutable ok_sent : bool;
-  ok_seen : Sim.Bitset.t;
+  ok_seen : Sample.Seen.t;
   mutable ok_count : int;
   mutable ok_values : int array;
       (* values of valid OKs in arrival order, ok_count of them;
@@ -91,10 +87,14 @@ type t = {
   mutable delivered : int list option;
 }
 
-let s_init t = t.s_init
+let s_init t = Sample.Phase.s t.init
 let s_echo t v = Printf.sprintf "%s/echo/%d" t.instance v
-let s_ok t = t.s_ok
+let s_ok t = Sample.Phase.s t.ok
 let echo_payload t v = Printf.sprintf "%s/echo-sig/%d" t.instance v
+
+(* The approver's value domain: the binary inputs and bot.  A message
+   naming any other value is dropped before it reaches any state. *)
+let in_domain v = v = 0 || v = 1 || v = bot
 
 let create ?dir ?cache:copt ~keyring ~params ~pid ~instance () =
   let n = params.Params.n in
@@ -109,10 +109,6 @@ let create ?dir ?cache:copt ~keyring ~params ~pid ~instance () =
     | None -> Sample.Directory.create keyring ~lambda:params.Params.lambda
   in
   let cache = match copt with Some c -> c | None -> cache () in
-  let s_init = instance ^ "/init" in
-  let s_ok = instance ^ "/ok" in
-  let init_comm = Sample.Directory.committee dir ~s:s_init in
-  let ok_comm = Sample.Directory.committee dir ~s:s_ok in
   {
     keyring;
     params;
@@ -120,17 +116,13 @@ let create ?dir ?cache:copt ~keyring ~params ~pid ~instance () =
     instance;
     dir;
     cache;
-    s_init;
-    s_ok;
-    init_comm;
-    ok_comm;
-    init_memo = Sample.Memo.phase cache.c_init ~s:s_init init_comm;
-    ok_memo = Sample.Memo.phase cache.c_ok ~s:s_ok ok_comm;
+    init = Sample.Phase.create dir cache.c_init ~s:(instance ^ "/init");
+    ok = Sample.Phase.create dir cache.c_ok ~s:(instance ^ "/ok");
     values = [];
     my_input = None;
     ok_cert = None;
     ok_sent = false;
-    ok_seen = Sim.Bitset.create (Sample.Directory.size ok_comm);
+    ok_seen = Sample.Seen.create ();
     ok_count = 0;
     ok_values = [||];
     delivered = None;
@@ -141,18 +133,14 @@ let w t = t.params.Params.w
 let b t = t.params.Params.b
 
 let new_value_state t v =
-  let vs_s_echo = s_echo t v in
-  let vs_echo_comm = Sample.Directory.committee t.dir ~s:vs_s_echo in
   let s =
     {
-      vs_s_echo;
+      vs_echo = Sample.Phase.create t.dir t.cache.c_echo ~s:(s_echo t v);
       vs_echo_payload = echo_payload t v;
-      vs_echo_comm;
-      vs_echo_memo = Sample.Memo.phase t.cache.c_echo ~s:vs_s_echo vs_echo_comm;
-      init_seen = Sim.Bitset.create (Sample.Directory.size t.init_comm);
+      init_seen = Sample.Seen.create ();
       init_count = 0;
       echoed = false;
-      echo_seen = Sim.Bitset.create (Sample.Directory.size vs_echo_comm);
+      echo_seen = Sample.Seen.create ();
       echo_count = 0;
       ev_pid = [||];
       ev_cert = [||];
@@ -168,33 +156,43 @@ let rec find_value_state t v = function
 
 let value_state t v = find_value_state t v t.values
 
-(* When the echo threshold for [v] fires and we sit on the OK committee and
-   have not yet OK'd any value, broadcast ok(v) with the W-strong evidence. *)
-let maybe_ok t v st =
+let own_ok_cert t =
   match t.ok_cert with
-  | Some cert when (not t.ok_sent) && st.echo_count >= w t ->
-      t.ok_sent <- true;
-      let rec support i =
-        if i < w t then
-          { pid = st.ev_pid.(i); cert = st.ev_cert.(i); signature = st.ev_sig.(i) }
-          :: support (i + 1)
-        else []
-      in
-      [ Broadcast (Ok { v; cert; support = support 0 }) ]
+  | Some cert -> cert
+  | None ->
+      let cert = Sample.sample t.keyring ~pid:t.pid ~s:(s_ok t) ~lambda:(lambda t) in
+      t.ok_cert <- Some cert;
+      cert
+
+(* When the echo threshold for [v] fires after our input and we have not
+   yet OK'd any value, sample our OK-committee certificate (once) and, as
+   a member, broadcast ok(v) with the W-strong evidence. *)
+let maybe_ok t v st =
+  match t.my_input with
+  | Some _ when (not t.ok_sent) && st.echo_count >= w t ->
+      let cert = own_ok_cert t in
+      if not cert.Sample.member then []
+      else begin
+        t.ok_sent <- true;
+        let rec support i =
+          if i < w t then
+            { pid = st.ev_pid.(i); cert = st.ev_cert.(i); signature = st.ev_sig.(i) }
+            :: support (i + 1)
+          else []
+        in
+        [ Broadcast (Ok { v; cert; support = support 0 }) ]
+      end
   | Some _ | None -> []
 
 let input t v =
+  if not (in_domain v) then invalid_arg "Approver.input: value must be 0, 1 or bot";
   match t.my_input with
   | Some _ -> []
   | None ->
       t.my_input <- Some v;
-      (* Sample the OK committee once: its certificate is needed later when
-         the echo threshold fires. *)
-      let okc = Sample.sample t.keyring ~pid:t.pid ~s:(s_ok t) ~lambda:(lambda t) in
-      if okc.Sample.member then t.ok_cert <- Some okc;
       (* An echo threshold may already have been crossed while this
          instance was passive (messages outran our own activation); emit
-         the pending OK now that our committee certificate exists. *)
+         the pending OK now that we have an input. *)
       let pending = List.concat_map (fun (v, st) -> maybe_ok t v st) t.values in
       let cert = Sample.sample t.keyring ~pid:t.pid ~s:(s_init t) ~lambda:(lambda t) in
       if cert.Sample.member then Broadcast (Init { v; cert }) :: pending else pending
@@ -202,7 +200,9 @@ let input t v =
 let maybe_echo t v st =
   if st.echoed || st.init_count < b t + 1 then []
   else begin
-    let cert = Sample.sample t.keyring ~pid:t.pid ~s:st.vs_s_echo ~lambda:(lambda t) in
+    let cert =
+      Sample.sample t.keyring ~pid:t.pid ~s:(Sample.Phase.s st.vs_echo) ~lambda:(lambda t)
+    in
     if not cert.Sample.member then begin
       (* Not in this value's echo committee: mark handled so we do not
          resample on every further init. *)
@@ -221,24 +221,27 @@ let maybe_echo t v st =
    certificate (VRF uniqueness), so its verdict is [false] without a
    memo slot. *)
 let valid_init t r src cert =
-  match t.init_memo.(r) with
+  let slots = Sample.Phase.slots t.init in
+  match slots.(r) with
   | Sample.Memo.Verdict { key; ok } when Sample.same_cert cert key -> ok
   | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
-      let ok = Sample.committee_val t.keyring ~s:t.s_init ~lambda:(lambda t) ~pid:src cert in
-      t.init_memo.(r) <- Sample.Memo.Verdict { key = cert; ok };
+      let ok = Sample.committee_val t.keyring ~s:(s_init t) ~lambda:(lambda t) ~pid:src cert in
+      slots.(r) <- Sample.Memo.Verdict { key = cert; ok };
       ok
 
 let valid_echo t st r pid cert signature =
-  match st.vs_echo_memo.(r) with
+  let slots = Sample.Phase.slots st.vs_echo in
+  match slots.(r) with
   | Sample.Memo.Verdict { key = kc, ks; ok }
     when Sample.same_cert cert kc && (signature == ks || String.equal signature ks) ->
       ok
   | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
       let ok =
-        Sample.committee_val t.keyring ~s:st.vs_s_echo ~lambda:(lambda t) ~pid cert
+        Sample.committee_val t.keyring ~s:(Sample.Phase.s st.vs_echo) ~lambda:(lambda t) ~pid
+          cert
         && Vrf.Keyring.verify_sig t.keyring ~signer:pid st.vs_echo_payload signature
       in
-      st.vs_echo_memo.(r) <- Sample.Memo.Verdict { key = (cert, signature); ok };
+      slots.(r) <- Sample.Memo.Verdict { key = (cert, signature); ok };
       ok
 
 let valid_ok_support t st support =
@@ -246,25 +249,26 @@ let valid_ok_support t st support =
      valid signature on the echo payload. *)
   List.length support = w t
   &&
-  let seen = Sim.Bitset.create (Sample.Directory.size st.vs_echo_comm) in
+  let seen = Sim.Bitset.create (Sample.Phase.size st.vs_echo) in
   List.for_all
     (fun { pid; cert; signature } ->
-      let r = Sample.Directory.rank st.vs_echo_comm pid in
+      let r = Sample.Phase.rank st.vs_echo pid in
       r >= 0 && (not (Sim.Bitset.test_and_set seen r)) && valid_echo t st r pid cert signature)
     support
 
 let valid_ok t r src v cert support =
-  match t.ok_memo.(r) with
+  let slots = Sample.Phase.slots t.ok in
+  match slots.(r) with
   | Sample.Memo.Verdict { key = kv, kc, ksup; ok }
     when Int.equal kv v && kc == cert && ksup == support ->
       ok
   | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
       let st = value_state t v in
       let ok =
-        Sample.committee_val t.keyring ~s:t.s_ok ~lambda:(lambda t) ~pid:src cert
+        Sample.committee_val t.keyring ~s:(s_ok t) ~lambda:(lambda t) ~pid:src cert
         && valid_ok_support t st support
       in
-      t.ok_memo.(r) <- Sample.Memo.Verdict { key = (v, cert, support); ok };
+      slots.(r) <- Sample.Memo.Verdict { key = (v, cert, support); ok };
       ok
 
 (* Bank the [echo_count]-th accepted echo, for [echo_count <= W]. *)
@@ -280,7 +284,7 @@ let keep_echo t st pid cert signature =
   st.ev_sig.(i) <- signature
 
 let keep_ok_value t v =
-  if t.ok_count = 0 then t.ok_values <- Array.make (Sample.Directory.size t.ok_comm) v;
+  if t.ok_count = 0 then t.ok_values <- Array.make (Sample.Phase.size t.ok) v;
   t.ok_values.(t.ok_count) <- v;
   t.ok_count <- t.ok_count + 1
 
@@ -290,22 +294,28 @@ let ok_value_set t =
 
 let handle t ~src msg =
   match msg with
+  | (Init { v; _ } | Echo { v; _ } | Ok { v; _ }) when not (in_domain v) -> []
   | Init { v; cert } ->
-      let st = value_state t v in
-      let r = Sample.Directory.rank t.init_comm src in
-      if r < 0 || Sim.Bitset.mem st.init_seen r || not (valid_init t r src cert) then []
+      (* Rank and certificate before any per-value state: a forged INIT
+         leaves no trace. *)
+      let r = Sample.Phase.rank t.init src in
+      if r < 0 || not (valid_init t r src cert) then []
       else begin
-        Sim.Bitset.add st.init_seen r;
-        st.init_count <- st.init_count + 1;
-        maybe_echo t v st
+        let st = value_state t v in
+        if Sample.Seen.mem st.init_seen r then []
+        else begin
+          Sample.Seen.add t.init st.init_seen r;
+          st.init_count <- st.init_count + 1;
+          maybe_echo t v st
+        end
       end
   | Echo { v; cert; signature } ->
       let st = value_state t v in
-      let r = Sample.Directory.rank st.vs_echo_comm src in
-      if r < 0 || Sim.Bitset.mem st.echo_seen r || not (valid_echo t st r src cert signature)
+      let r = Sample.Phase.rank st.vs_echo src in
+      if r < 0 || Sample.Seen.mem st.echo_seen r || not (valid_echo t st r src cert signature)
       then []
       else begin
-        Sim.Bitset.add st.echo_seen r;
+        Sample.Seen.add st.vs_echo st.echo_seen r;
         st.echo_count <- st.echo_count + 1;
         (* OK support only ever carries the first W echoes, so later
            evidence need not be retained. *)
@@ -313,10 +323,10 @@ let handle t ~src msg =
         maybe_ok t v st
       end
   | Ok { v; cert; support } ->
-      let r = Sample.Directory.rank t.ok_comm src in
-      if r < 0 || Sim.Bitset.mem t.ok_seen r || not (valid_ok t r src v cert support) then []
+      let r = Sample.Phase.rank t.ok src in
+      if r < 0 || Sample.Seen.mem t.ok_seen r || not (valid_ok t r src v cert support) then []
       else begin
-        Sim.Bitset.add t.ok_seen r;
+        Sample.Seen.add t.ok t.ok_seen r;
         keep_ok_value t v;
         if t.ok_count = w t && Option.is_none t.delivered then begin
           let set = ok_value_set t in
@@ -336,8 +346,8 @@ let result t = t.delivered
 let clone_value_state vs =
   {
     vs with
-    init_seen = Sim.Bitset.copy vs.init_seen;
-    echo_seen = Sim.Bitset.copy vs.echo_seen;
+    init_seen = Sample.Seen.copy vs.init_seen;
+    echo_seen = Sample.Seen.copy vs.echo_seen;
     ev_pid = Array.copy vs.ev_pid;
     ev_cert = Array.copy vs.ev_cert;
     ev_sig = Array.copy vs.ev_sig;
@@ -347,7 +357,7 @@ let clone t =
   {
     t with
     values = List.map (fun (v, vs) -> (v, clone_value_state vs)) t.values;
-    ok_seen = Sim.Bitset.copy t.ok_seen;
+    ok_seen = Sample.Seen.copy t.ok_seen;
     ok_values = Array.copy t.ok_values;
   }
 
@@ -356,7 +366,7 @@ let enc_int buf i =
   Buffer.add_char buf ';'
 
 let enc_bits buf bs =
-  List.iter (enc_int buf) (Sim.Bitset.to_list bs);
+  List.iter (enc_int buf) (Sample.Seen.to_list bs);
   Buffer.add_char buf '|'
 
 let encode buf t =

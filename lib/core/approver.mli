@@ -17,7 +17,9 @@
 
     A process returns the value set of the first [W] valid [ok]s.
 
-    Values are integers; Byzantine Agreement uses [0], [1] and {!bot}.
+    Values are [0], [1] and {!bot}, the ones Byzantine Agreement uses; a
+    message naming any other value is dropped before it reaches any
+    state.
     The [ok] support entries carry each echoer's committee certificate in
     addition to its signature: signatures alone would let a Byzantine
     [ok]-sender use echo signatures from Byzantine friends {e outside} the
@@ -50,9 +52,10 @@ type cache
 (** Run-shared validation memo ({!Sample.Memo}): committee-certificate
     and echo-signature verdicts in one array per phase string, one slot
     per committee member by {!Sample.Directory.rank}.  An instance
-    resolves its INIT and OK arrays when it is created and a value's ECHO
-    array when it first sees the value, so a delivery reads one slot
-    without hashing.  An OK's support entries use the ECHO slots of their
+    resolves a phase's committee and array ({!Sample.Phase}) the first
+    time a delivery or a step of that phase consults it, so a delivery
+    reads one slot without hashing and a phase no message reaches costs
+    no VRF evaluation.  An OK's support entries use the ECHO slots of their
     pids.  Each slot is guarded by the message content it validated
     (physical equality first — a broadcast shares one payload across all
     n deliveries — then byte comparison, full re-verification on any
@@ -81,7 +84,9 @@ val create :
 
 val input : t -> int -> action list
 (** approve(v): line 1 — broadcast INIT when sampled.  Idempotent; the
-    first value wins. *)
+    first value wins.  The OK-committee certificate is sampled later,
+    when an echo threshold first fires.
+    @raise Invalid_argument unless [v] is [0], [1] or {!bot}. *)
 
 val handle : t -> src:int -> msg -> action list
 

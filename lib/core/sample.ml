@@ -38,17 +38,6 @@ let same_cert c k =
      && String.equal c.vrf.Vrf.beta k.vrf.Vrf.beta
      && String.equal c.vrf.Vrf.proof k.vrf.Vrf.proof)
 
-let committee kr ~s ~lambda =
-  let n = Vrf.Keyring.n kr in
-  let rec go pid acc =
-    if pid < 0 then acc
-    else begin
-      let c = sample kr ~pid ~s ~lambda in
-      go (pid - 1) (if c.member then pid :: acc else acc)
-    end
-  in
-  go (n - 1) []
-
 module Directory = struct
   type comm = { bits : Sim.Bitset.t; prefix : int array; size : int }
 
@@ -56,9 +45,17 @@ module Directory = struct
     kr : Vrf.Keyring.t;
     lambda : int;
     comms : (string, comm) Hashtbl.t;
+    unresolved : comm;  (* size -1: what a Phase holds before first use *)
   }
 
-  let create kr ~lambda = { kr; lambda; comms = Hashtbl.create 32 }
+  let create kr ~lambda =
+    {
+      kr;
+      lambda;
+      comms = Hashtbl.create 32;
+      unresolved = { bits = Sim.Bitset.create 0; prefix = [||]; size = -1 };
+    }
+
   let lambda t = t.lambda
 
   let committee t ~s =
@@ -75,14 +72,14 @@ module Directory = struct
         comm
 
   let size c = c.size
-  let mem c pid = Sim.Bitset.mem c.bits pid
 
   let rank c pid =
     if pid < 0 || pid >= Sim.Bitset.length c.bits then -1
     else Sim.Bitset.rank_with c.bits c.prefix pid
-
-  let members c = Sim.Bitset.to_list c.bits
 end
+
+let committee kr ~s ~lambda =
+  Sim.Bitset.to_list (Directory.committee (Directory.create kr ~lambda) ~s).Directory.bits
 
 module Memo = struct
   type 'k slot = Unset | Verdict of { key : 'k; ok : bool }
@@ -101,4 +98,50 @@ module Memo = struct
         let slots = Array.make size Unset in
         Hashtbl.replace t s slots;
         slots
+end
+
+module Phase = struct
+  type 'k t = {
+    dir : Directory.t;
+    memo : 'k Memo.t;
+    s : string;
+    mutable comm : Directory.comm;
+    mutable slots : 'k Memo.slot array;
+  }
+
+  let create dir memo ~s = { dir; memo; s; comm = dir.Directory.unresolved; slots = [||] }
+  let s p = p.s
+
+  let resolve p =
+    if p.comm.Directory.size < 0 then begin
+      let comm = Directory.committee p.dir ~s:p.s in
+      p.slots <- Memo.phase p.memo ~s:p.s comm;
+      p.comm <- comm
+    end
+
+  let rank p pid =
+    resolve p;
+    Directory.rank p.comm pid
+
+  let size p =
+    resolve p;
+    p.comm.Directory.size
+
+  let slots p =
+    resolve p;
+    p.slots
+end
+
+module Seen = struct
+  type t = { mutable bits : Sim.Bitset.t }
+
+  let create () = { bits = Sim.Bitset.create 0 }
+  let mem s r = Sim.Bitset.length s.bits > 0 && Sim.Bitset.mem s.bits r
+
+  let add p s r =
+    if Sim.Bitset.length s.bits = 0 then s.bits <- Sim.Bitset.create (Phase.size p);
+    Sim.Bitset.add s.bits r
+
+  let copy s = { bits = Sim.Bitset.copy s.bits }
+  let to_list s = Sim.Bitset.to_list s.bits
 end

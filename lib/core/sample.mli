@@ -49,7 +49,7 @@ val threshold : n:int -> lambda:int -> int64
     takes a BA instance from O(n²) to O(n·lambda) simulator memory.
 
     Soundness: by VRF uniqueness a valid certificate for [(s, pid)]
-    exists iff [mem comm pid] — rejecting non-members before running
+    exists iff [rank comm pid >= 0] — rejecting non-members before running
     {!committee_val} (which would return [false] for them) changes no
     observable behaviour.  Certificates from claimed members are still
     fully verified by the protocol paths. *)
@@ -66,25 +66,18 @@ module Directory : sig
   (** Lazily computed on first request (n VRF evaluations through the
       keyring's prove cache), then shared. *)
 
-  val size : comm -> int
-
-  val mem : comm -> int -> bool
-
   val rank : comm -> int -> int
   (** Dense index of a member in pid order, [-1] for non-members and for
       pids outside [[0, n)] — the key for committee-rank dedup bitsets
       and validation memos. *)
-
-  val members : comm -> int list
-  (** Ascending pids (analysis/tests). *)
 end
 
 (** Rank-indexed validation memos, shared by a run's n protocol instances.
 
     A phase's verdicts live in one array with a slot per committee member,
-    indexed by {!Directory.rank}.  An instance resolves its phases' arrays
-    once, when it is created, so a delivery reads its slot with no
-    hashing.  Each slot keeps the content its verdict was computed for;
+    indexed by {!Directory.rank}; {!Phase} hands an instance its array the
+    first time the phase is consulted, so a delivery reads its slot with
+    no hashing.  Each slot keeps the content its verdict was computed for;
     callers replay the verdict only when the content they hold is that
     content (physical equality first, then bytes) and re-verify
     otherwise. *)
@@ -95,10 +88,52 @@ module Memo : sig
   (** Phase string to that phase's slots. *)
 
   val create : unit -> 'k t
+end
 
-  val phase : 'k t -> s:string -> Directory.comm -> 'k slot array
-  (** The slots of phase [s], whose committee is [comm]: created [Unset]
-      on first request, then shared.  [Invalid_argument] if an earlier
-      request for [s] came with a committee of a different size (a memo
-      shared across runs with different keyrings or lambdas). *)
+(** One phase of a protocol instance: its committee and its memo slots,
+    resolved the first time a delivery or a step of the phase consults
+    them, not when the instance is created.
+
+    Membership is a pure function of the keyring and the phase string,
+    so resolving later changes no verdict and no output; it changes only
+    how many VRF evaluations a run pays for.  A phase no message ever
+    reaches (say, a round after the decision) costs nothing.  Resolution
+    is idempotent, so clones may share a handle. *)
+module Phase : sig
+  type 'k t
+
+  val create : Directory.t -> 'k Memo.t -> s:string -> 'k t
+  (** Names phase [s]; evaluates nothing.  [Invalid_argument] at
+      resolution if the memo already holds [s] for a committee of another
+      size (see {!Memo}). *)
+
+  val s : 'k t -> string
+
+  val rank : 'k t -> int -> int
+  (** {!Directory.rank} in the phase's committee; resolves it. *)
+
+  val size : 'k t -> int
+  (** Committee size; resolves it. *)
+
+  val slots : 'k t -> 'k Memo.slot array
+  (** The run-shared verdict slots, one per rank; resolves the phase. *)
+end
+
+(** A per-instance dedup set over one phase's committee ranks.  It takes
+    no committee-sized space, and resolves nothing, until it records its
+    first rank; an empty set reads the same sized or not. *)
+module Seen : sig
+  type t
+
+  val create : unit -> t
+  val mem : t -> int -> bool
+
+  val add : 'k Phase.t -> t -> int -> unit
+  (** [add p s r] records rank [r] of phase [p], sizing [s] at [p]'s
+      committee first if this is its first rank. *)
+
+  val copy : t -> t
+
+  val to_list : t -> int list
+  (** Ascending ranks (state encodings). *)
 end

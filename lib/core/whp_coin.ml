@@ -24,7 +24,8 @@ type action = Broadcast of msg | Return of int
    verdict with the message content it validated; any mismatch (a
    Byzantine sender varying the payload per destination) re-verifies in
    full.  Values sit at their origin's FIRST-committee rank, SECOND
-   certificates at the sender's SECOND-committee rank. *)
+   certificates at the sender's SECOND-committee rank; both phases are
+   resolved on first use (Sample.Phase). *)
 type cache = { c_value : value Sample.Memo.t; c_second : Sample.cert Sample.Memo.t }
 
 let cache () = { c_value = Sample.Memo.create (); c_second = Sample.Memo.create () }
@@ -34,18 +35,14 @@ type t = {
   params : Params.t;
   pid : int;
   alpha : string;             (* VRF input generating coin values *)
-  s_first : string;           (* sampling string of C(FIRST) *)
-  s_second : string;
-  first_comm : Sample.Directory.comm;
-  second_comm : Sample.Directory.comm;
-  value_memo : value Sample.Memo.slot array;       (* FIRST-committee ranks *)
-  second_memo : Sample.cert Sample.Memo.slot array; (* SECOND-committee ranks *)
+  first : value Sample.Phase.t;         (* C(FIRST); value verdicts at origin ranks *)
+  second : Sample.cert Sample.Phase.t;  (* C(SECOND); certificate verdicts *)
   mutable v : value option;
-  first_seen : Sim.Bitset.t;  (* FIRST-committee ranks *)
+  first_seen : Sample.Seen.t;  (* FIRST-committee ranks *)
   mutable first_count : int;
   mutable second_member : Sample.cert option;  (* our SECOND certificate when member *)
   mutable sent_second : bool;
-  second_seen : Sim.Bitset.t; (* SECOND-committee ranks *)
+  second_seen : Sample.Seen.t; (* SECOND-committee ranks *)
   mutable second_count : int;
   mutable started : bool;
   mutable result : int option;
@@ -67,28 +64,19 @@ let create ?dir ?cache:copt ~keyring ~params ~pid ~instance ~round () =
     | None -> Sample.Directory.create keyring ~lambda:params.Params.lambda
   in
   let cache = match copt with Some c -> c | None -> cache () in
-  let s_first = first_committee_string ~instance ~round in
-  let s_second = second_committee_string ~instance ~round in
-  let first_comm = Sample.Directory.committee dir ~s:s_first in
-  let second_comm = Sample.Directory.committee dir ~s:s_second in
-  let alpha = coin_alpha ~instance ~round in
   {
     keyring;
     params;
     pid;
-    alpha;
-    s_first;
-    s_second;
-    first_comm;
-    second_comm;
-    value_memo = Sample.Memo.phase cache.c_value ~s:alpha first_comm;
-    second_memo = Sample.Memo.phase cache.c_second ~s:s_second second_comm;
+    alpha = coin_alpha ~instance ~round;
+    first = Sample.Phase.create dir cache.c_value ~s:(first_committee_string ~instance ~round);
+    second = Sample.Phase.create dir cache.c_second ~s:(second_committee_string ~instance ~round);
     v = None;
-    first_seen = Sim.Bitset.create (Sample.Directory.size first_comm);
+    first_seen = Sample.Seen.create ();
     first_count = 0;
     second_member = None;
     sent_second = false;
-    second_seen = Sim.Bitset.create (Sample.Directory.size second_comm);
+    second_seen = Sample.Seen.create ();
     second_count = 0;
     started = false;
     result = None;
@@ -117,9 +105,13 @@ let start t =
     t.started <- true;
     (* Private sampling: both committee draws happen locally, without
        communication (process replaceability). *)
-    let second_cert = Sample.sample t.keyring ~pid:t.pid ~s:t.s_second ~lambda:(lambda t) in
+    let second_cert =
+      Sample.sample t.keyring ~pid:t.pid ~s:(Sample.Phase.s t.second) ~lambda:(lambda t)
+    in
     if second_cert.Sample.member then t.second_member <- Some second_cert;
-    let first_cert = Sample.sample t.keyring ~pid:t.pid ~s:t.s_first ~lambda:(lambda t) in
+    let first_cert =
+      Sample.sample t.keyring ~pid:t.pid ~s:(Sample.Phase.s t.first) ~lambda:(lambda t)
+    in
     let first_acts =
       if first_cert.Sample.member then begin
         let out = Vrf.Keyring.prove t.keyring t.pid t.alpha in
@@ -153,23 +145,28 @@ let same_value (a : value) (b : value) =
 let valid_value t r value =
   r >= 0
   &&
-  match t.value_memo.(r) with
+  let slots = Sample.Phase.slots t.first in
+  match slots.(r) with
   | Sample.Memo.Verdict { key; ok } when same_value value key -> ok
   | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
       let ok =
-        Sample.committee_val t.keyring ~s:t.s_first ~lambda:(lambda t) ~pid:value.origin
-          value.origin_cert
+        Sample.committee_val t.keyring ~s:(Sample.Phase.s t.first) ~lambda:(lambda t)
+          ~pid:value.origin value.origin_cert
         && Vrf.Keyring.verify t.keyring ~signer:value.origin t.alpha value.out
       in
-      t.value_memo.(r) <- Sample.Memo.Verdict { key = value; ok };
+      slots.(r) <- Sample.Memo.Verdict { key = value; ok };
       ok
 
 let valid_second t r src cert =
-  match t.second_memo.(r) with
+  let slots = Sample.Phase.slots t.second in
+  match slots.(r) with
   | Sample.Memo.Verdict { key; ok } when Sample.same_cert cert key -> ok
   | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
-      let ok = Sample.committee_val t.keyring ~s:t.s_second ~lambda:(lambda t) ~pid:src cert in
-      t.second_memo.(r) <- Sample.Memo.Verdict { key = cert; ok };
+      let ok =
+        Sample.committee_val t.keyring ~s:(Sample.Phase.s t.second) ~lambda:(lambda t) ~pid:src
+          cert
+      in
+      slots.(r) <- Sample.Memo.Verdict { key = cert; ok };
       ok
 
 let adopt_min t value =
@@ -180,24 +177,24 @@ let adopt_min t value =
 let handle t ~src msg =
   match msg with
   | First { value } ->
-      let r = Sample.Directory.rank t.first_comm src in
-      if value.origin <> src || r < 0 || Sim.Bitset.mem t.first_seen r
+      let r = Sample.Phase.rank t.first src in
+      if value.origin <> src || r < 0 || Sample.Seen.mem t.first_seen r
          || not (valid_value t r value)
       then []
       else begin
-        Sim.Bitset.add t.first_seen r;
+        Sample.Seen.add t.first t.first_seen r;
         t.first_count <- t.first_count + 1;
         adopt_min t value;
         (* Only SECOND-committee members watch the FIRST threshold. *)
         maybe_send_second t
       end
   | Second { value; cert } ->
-      let r = Sample.Directory.rank t.second_comm src in
-      if r < 0 || Sim.Bitset.mem t.second_seen r || not (valid_second t r src cert)
-         || not (valid_value t (Sample.Directory.rank t.first_comm value.origin) value)
+      let r = Sample.Phase.rank t.second src in
+      if r < 0 || Sample.Seen.mem t.second_seen r || not (valid_second t r src cert)
+         || not (valid_value t (Sample.Phase.rank t.first value.origin) value)
       then []
       else begin
-        Sim.Bitset.add t.second_seen r;
+        Sample.Seen.add t.second t.second_seen r;
         t.second_count <- t.second_count + 1;
         adopt_min t value;
         if t.second_count >= w t && Option.is_none t.result then begin
@@ -221,8 +218,8 @@ let current_min t = t.v
 let clone t =
   {
     t with
-    first_seen = Sim.Bitset.copy t.first_seen;
-    second_seen = Sim.Bitset.copy t.second_seen;
+    first_seen = Sample.Seen.copy t.first_seen;
+    second_seen = Sample.Seen.copy t.second_seen;
   }
 
 let enc_int buf i =
@@ -230,7 +227,7 @@ let enc_int buf i =
   Buffer.add_char buf ';'
 
 let enc_bits buf bs =
-  List.iter (enc_int buf) (Sim.Bitset.to_list bs);
+  List.iter (enc_int buf) (Sample.Seen.to_list bs);
   Buffer.add_char buf '|'
 
 let encode buf t =

@@ -41,9 +41,10 @@ type cache
 (** Run-shared validation memo (same discipline as {!Approver.cache}):
     value verdicts at the origin's FIRST-committee rank and
     SECOND-certificate verdicts at the sender's SECOND-committee rank,
-    resolved per instance at [create], each guarded by the message
-    content it validated — physical-equality hit first, byte comparison
-    second, full re-verification on mismatch.  A FIRST and a SECOND
+    each phase resolved ({!Sample.Phase}) by the first delivery that
+    consults it, each slot guarded by the message content it validated
+    — physical-equality hit first, byte comparison second, full
+    re-verification on mismatch.  A FIRST and a SECOND
     carrying the same origin share its slot; an origin outside the FIRST
     committee, or outside [[0, n)], is invalid without one. *)
 
@@ -64,8 +65,9 @@ val create :
     (default: private) shares validation verdicts. *)
 
 val start : t -> action list
-(** Run the committee sampler; broadcast FIRST when selected.  Idempotent;
-    must be called on every process (non-members simply send nothing). *)
+(** Run the committee sampler on this process's own certificates (not on
+    the committees); broadcast FIRST when selected.  Idempotent; must be
+    called on every process (non-members simply send nothing). *)
 
 val handle : t -> src:int -> msg -> action list
 val result : t -> int option

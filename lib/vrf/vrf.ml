@@ -114,6 +114,8 @@ module Keyring = struct
       misses = t.cache_misses;
     }
 
+  let evaluations t = Hashtbl.length t.prove_cache
+
   let group t qbits =
     match t.group with
     | Some g -> g

@@ -89,6 +89,11 @@ module Keyring : sig
 
   val verify_cache_stats : t -> cache_stats
 
+  val evaluations : t -> int
+  (** Distinct VRF evaluations so far: the size of the (unbounded) prove
+      cache, which {!prove} fills with one entry per distinct
+      (process, input). *)
+
   val warm : t -> unit
   (** Eagerly generates all [n] keys (and the shared group for the Dleq
       backend).  Keys are otherwise generated lazily on first use, which

@@ -287,6 +287,57 @@ let test_memo_per_destination () =
            : string);
   Alcotest.(check bool) "only the OK with the valid entry is accepted" true (rejected <> accepted)
 
+(* ------------- reject before allocating ------------- *)
+
+(* Byzantine INITs that name fresh values, or carry a forged certificate,
+   must grow no state and cost no VRF evaluation: per-value state would
+   bring an echo committee (n evaluations) with it. *)
+let test_forged_inits_leave_no_state () =
+  let kr = Lazy.force keyring in
+  let p = Lazy.force params in
+  let instance = "d7" in
+  let a = Approver.create ~keyring:kr ~params:p ~pid:0 ~instance () in
+  ignore (Approver.input a 1 : Approver.action list);
+  let src, cert = find_member kr ~s:(instance ^ "/init") ~lambda:p.Params.lambda in
+  ignore (Approver.handle a ~src (Approver.Init { v = 1; cert }) : Approver.action list);
+  let before = encode a and evaluations = Vrf.Keyring.evaluations kr in
+  let dropped label msg =
+    Alcotest.(check bool) label true (Approver.handle a ~src msg = [])
+  in
+  for i = 1 to 100 do
+    let v = if i mod 2 = 0 then 1 + i else -1 - i in
+    dropped (Printf.sprintf "INIT(%d) dropped" v) (Approver.Init { v; cert })
+  done;
+  let forged = Tutil.forge_cert cert in
+  for _ = 1 to 100 do
+    dropped "forged INIT(0) dropped" (Approver.Init { v = 0; cert = forged })
+  done;
+  dropped "ECHO(2) dropped" (Approver.Echo { v = 2; cert; signature = "" });
+  dropped "OK(2) dropped" (Approver.Ok { v = 2; cert; support = [] });
+  Alcotest.(check string) "state unchanged" before (encode a);
+  Alcotest.(check int) "no VRF evaluation" evaluations (Vrf.Keyring.evaluations kr);
+  Alcotest.check_raises "input outside {0, 1, bot}"
+    (Invalid_argument "Approver.input: value must be 0, 1 or bot") (fun () ->
+      ignore (Approver.input (Approver.create ~keyring:kr ~params:p ~pid:1 ~instance ()) 2))
+
+(* A phase resolves on first use.  Resolving one must not change the
+   instance's encoding, or the model checker would split states. *)
+let test_unresolved_encodes_as_empty () =
+  let kr = Lazy.force keyring in
+  let p = Lazy.force params in
+  let instance = "d8" in
+  let fresh () = Approver.create ~keyring:kr ~params:p ~pid:0 ~instance () in
+  let a = fresh () and b = fresh () in
+  let evaluations = Vrf.Keyring.evaluations kr in
+  (* Messages from a pid that names no process: rejected, after their
+     phase resolved. *)
+  let cert = { Sample.member = true; vrf = { Vrf.beta = ""; proof = "" } } in
+  ignore (Approver.handle b ~src:n (Approver.Init { v = 1; cert }) : Approver.action list);
+  ignore (Approver.handle b ~src:n (Approver.Ok { v = 1; cert; support = [] }) : Approver.action list);
+  Alcotest.(check int) "INIT and OK committees resolved" (evaluations + (2 * n))
+    (Vrf.Keyring.evaluations kr);
+  Alcotest.(check string) "unresolved = empty resolved" (encode a) (encode b)
+
 let qcheck_validity_random_unanimous =
   QCheck.Test.make ~name:"qcheck: approver validity for random unanimous values" ~count:8
     QCheck.(pair small_int (int_range 0 1))
@@ -310,6 +361,8 @@ let suite =
     Alcotest.test_case "input idempotent" `Quick test_input_idempotent;
     Alcotest.test_case "word accounting" `Quick test_word_accounting;
     Alcotest.test_case "ok support pid out of range" `Quick test_ok_support_pid_out_of_range;
+    Alcotest.test_case "forged INITs leave no state" `Quick test_forged_inits_leave_no_state;
+    Alcotest.test_case "unresolved phase encodes as empty" `Quick test_unresolved_encodes_as_empty;
     Alcotest.test_case "memo sound under per-destination payloads" `Quick
       test_memo_per_destination;
     QCheck_alcotest.to_alcotest qcheck_validity_random_unanimous;

@@ -323,6 +323,36 @@ let test_allocation_per_delivery () =
   if per_delivery > 45.0 then
     Alcotest.failf "a run allocates %.1f words per delivery (bound 45)" per_delivery
 
+(* Distinct VRF evaluations per instance at the benchmark's toy size
+   (n = 16, lambda = n, unanimous inputs, engine seeds 1001 and 1002 as
+   e2e's first two instances at --seed 1).  A committee costs n
+   evaluations the first time a delivery or a step of its phase consults
+   it, and each FIRST member adds its coin value, so a committee built
+   for a phase no message reaches shows here as 16 more. *)
+let test_vrf_evaluations () =
+  let n = 16 in
+  let params = Params.make_exn ~strict:false ~epsilon:0.25 ~d:0.04 ~lambda:n ~n () in
+  let f = params.Params.f in
+  List.iter
+    (fun (name, corruption, seed, expected) ->
+      let keyring = Vrf.Keyring.create ~backend:Vrf.Mock ~n ~seed:"ba-vrf-count" () in
+      let o =
+        Runner.run_ba ~scheduler:(Sim.Scheduler.random ~mean:1.0 ()) ~corruption ~keyring ~params
+          ~inputs:(Array.make n (seed mod 2)) ~seed ()
+      in
+      check_safety name o;
+      Alcotest.(check int)
+        (Printf.sprintf "%s, seed %d: VRF evaluations" name seed)
+        expected (Vrf.Keyring.evaluations keyring))
+    [
+      ("honest", Runner.Honest, 1001, 192);
+      ("honest", Runner.Honest, 1002, 177);
+      ("crash", Runner.Crash_random f, 1001, 191);
+      ("crash", Runner.Crash_random f, 1002, 175);
+      ("adaptive", Runner.Crash_adaptive_first f, 1001, 191);
+      ("adaptive", Runner.Crash_adaptive_first f, 1002, 175);
+    ]
+
 let suite =
   [
     Alcotest.test_case "validity ones" `Quick test_validity_all_ones;
@@ -344,6 +374,7 @@ let suite =
     Alcotest.test_case "decide emitted once" `Quick test_decide_action_emitted_once;
     Alcotest.test_case "word complexity sane" `Quick test_word_complexity_reasonable;
     Alcotest.test_case "allocation per delivery" `Quick test_allocation_per_delivery;
+    Alcotest.test_case "VRF evaluations per instance" `Quick test_vrf_evaluations;
     Alcotest.test_case "rsa backend small" `Slow test_rsa_backend_small;
     QCheck_alcotest.to_alcotest qcheck_safety_random;
   ]

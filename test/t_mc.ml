@@ -1,8 +1,9 @@
 (* coincheck head 1: the explicit-state model checker (lib/mc).
 
    Exhaustive clean verdicts run the REAL step functions (Baselines.Benor,
-   Baselines.Bracha) through every delayed-adaptive delivery schedule of a
-   small configuration; the mutant tests prove the same search catches a
+   Baselines.Bracha, Core.Whp_coin, and Core.Approver capped) through every
+   delayed-adaptive delivery schedule of a small configuration; the
+   mutant tests prove the same search catches a
    dropped wait guard and a lowered decide quorum, and that each
    counterexample replays through Sim.Engine and survives the
    coincidence.check/1 JSON round-trip. *)
@@ -25,6 +26,8 @@ let cfg ?(n = 4) ?(f = 1) ?byz ?(active = false) ?(inject = 0) ?(coin = false) ?
 
 module MB = Search.Make (Protos.Benor_p)
 module MBr = Search.Make (Protos.Bracha_p)
+module MA = Search.Make (Protos.Approver_p)
+module MW = Search.Make (Protos.Coin_p)
 module MNW = Search.Make (Protos.Benor_nowait)
 module MBL = Search.Make (Protos.Bracha_low)
 
@@ -71,6 +74,35 @@ let test_bracha_bounded_clean () =
   let s = MBr.check_inputs (cfg ~byz:3 ~coin:false ~cap:30_000 ()) [| 0; 0; 1; 0 |] in
   Alcotest.(check bool) "truncated at cap" true s.Search.s_truncated;
   Alcotest.(check bool) "no violation" true (s.s_violation = None)
+
+(* The committee protocols over their real step functions.  Their
+   phases resolve on first use, so the search forks (clone) and hashes
+   (encode) states whose phases are partly unresolved.  The counts are
+   those of a search with every phase resolved at creation: an
+   unresolved phase must encode exactly as an empty resolved one, or
+   the visited set would split states that are the same. *)
+let check_counts name s ~states ~transitions ~depth =
+  Alcotest.(check int) (name ^ ": states") states s.Search.s_states;
+  Alcotest.(check int) (name ^ ": transitions") transitions s.s_transitions;
+  Alcotest.(check int) (name ^ ": max depth") depth s.s_max_depth
+
+(* The WHP coin at n = 3: every input vector, both coin outcomes. *)
+let test_whp_coin_exhaustive_n3 () =
+  let s =
+    List.fold_left
+      (fun acc coin -> Search.merge acc (MW.check_all (cfg ~n:3 ~f:0 ~coin ())))
+      Search.empty_summary [ false; true ]
+  in
+  exhaustive_clean "whp-coin n=3" s;
+  check_counts "whp-coin n=3" s ~states:34_032 ~transitions:104_752 ~depth:18
+
+(* Algorithm 3 at n = 3 on inputs 001: capped, since the full space is
+   millions of states. *)
+let test_approver_bounded_n3 () =
+  let s = MA.check_inputs (cfg ~n:3 ~f:0 ~coin:false ~cap:20_000 ()) [| 0; 0; 1 |] in
+  Alcotest.(check bool) "truncated at cap" true s.Search.s_truncated;
+  Alcotest.(check bool) "no violation" true (s.s_violation = None);
+  check_counts "approver n=3" s ~states:20_001 ~transitions:35_503 ~depth:36
 
 (* Mutant 1: Ben-Or's n-f report wait dropped.  Unanimous inputs then
    livelock (every round degenerates to "?" proposals), which the
@@ -156,6 +188,8 @@ let suite =
     Alcotest.test_case "benor n=4 byz silent+active exhaustive" `Quick test_benor_byz_exhaustive;
     Alcotest.test_case "bracha n=2 exhaustive" `Quick test_bracha_exhaustive_n2;
     Alcotest.test_case "bracha n=4 bounded clean" `Quick test_bracha_bounded_clean;
+    Alcotest.test_case "whp-coin n=3 exhaustive" `Quick test_whp_coin_exhaustive_n3;
+    Alcotest.test_case "approver n=3 bounded" `Quick test_approver_bounded_n3;
     Alcotest.test_case "mutant: no-wait caught + replays" `Quick test_nowait_caught_and_replays;
     Alcotest.test_case "mutant: decide-low caught + replays" `Quick
       test_bracha_low_caught_and_replays;

@@ -224,6 +224,38 @@ let test_memo_per_destination () =
   let accepted = mixed "forged FIRST, SECOND with its valid value" [ first bad_out; second value ] in
   Alcotest.(check bool) "only the SECOND with the valid value is accepted" true (rejected <> accepted)
 
+(* Creating or starting an instance evaluates no committee; a delivery
+   resolves the phase it names, which must not change the instance's
+   encoding. *)
+let test_phases_resolved_on_first_use () =
+  let kr = Lazy.force keyring in
+  let p = Lazy.force params in
+  let instance = mk_instance "lazy" in
+  let encode c =
+    let b = Buffer.create 32 in
+    Whp_coin.encode b c;
+    Buffer.contents b
+  in
+  let fresh () = Whp_coin.create ~keyring:kr ~params:p ~pid:0 ~instance ~round:0 () in
+  let a = fresh () and b = fresh () in
+  let evaluations = Vrf.Keyring.evaluations kr in
+  ignore (Whp_coin.start a : Whp_coin.action list);
+  ignore (Whp_coin.start b : Whp_coin.action list);
+  (* start samples pid 0 for FIRST and SECOND, and proves its coin value
+     when it sits on FIRST *)
+  Alcotest.(check bool) "start evaluates no committee" true
+    (Vrf.Keyring.evaluations kr - evaluations <= 3);
+  let after_start = Vrf.Keyring.evaluations kr in
+  (* From a pid that names no process: rejected, after the phase
+     resolved. *)
+  let cert = { Sample.member = true; vrf = { Vrf.beta = ""; proof = "" } } in
+  let value = { Whp_coin.origin = n; out = cert.Sample.vrf; origin_cert = cert } in
+  ignore (Whp_coin.handle b ~src:n (Whp_coin.First { value }) : Whp_coin.action list);
+  ignore (Whp_coin.handle b ~src:n (Whp_coin.Second { value; cert }) : Whp_coin.action list);
+  Alcotest.(check int) "FIRST and SECOND committees resolved" (after_start + (2 * n) - 2)
+    (Vrf.Keyring.evaluations kr);
+  Alcotest.(check string) "unresolved = empty resolved" (encode a) (encode b)
+
 let test_words_scale_subquadratically () =
   (* At a realistic lambda << n the committee coin is cheaper than the
      all-to-all coin, despite its larger per-message certificates
@@ -259,6 +291,7 @@ let suite =
     Alcotest.test_case "member FIRST accepted" `Quick test_member_first_accepted;
     Alcotest.test_case "SECOND needs committee cert" `Quick test_second_requires_sender_cert;
     Alcotest.test_case "SECOND origin out of range" `Quick test_second_origin_out_of_range;
+    Alcotest.test_case "phases resolved on first use" `Quick test_phases_resolved_on_first_use;
     Alcotest.test_case "memo sound under per-destination payloads" `Quick
       test_memo_per_destination;
     Alcotest.test_case "cheaper than Algorithm 1" `Quick test_words_scale_subquadratically;
