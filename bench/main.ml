@@ -25,7 +25,6 @@
      E9  extension   concurrent repeated agreement (chain throughput)
      SC  scaling     estimator trials/sec vs --jobs (Exec domain pool)
      SIM sim         simulator messages/sec, ledger attached vs not
-     LINT provenance coinlint's own runtime, syntactic vs semantic tier
      B1  micro       primitive costs (bechamel)
 
    Regression gate:
@@ -1003,76 +1002,6 @@ let table_sim () =
      is a phase lookup plus integer stores, no allocation, no hashing.@."
 
 (* ------------------------------------------------------------------ *)
-(* LINT: coinlint self-measurement                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Analysis cost is provenance too: every lint tier's wall seconds land
-   in --json, so if the semantic or race tier ever gets slow enough to
-   tempt someone into skipping it in CI, the trend is visible across PRs
-   first. *)
-let table_lint () =
-  section "LINT: coinlint runtime per tier";
-  let roots = List.filter Sys.file_exists [ "lib"; "bin"; "bench" ] in
-  if roots = [] then Format.printf "  (source roots not visible from cwd; skipped)@."
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let files, syn = Coinlint.Engine.lint_paths ~rules:Coinlint.Rules.all roots in
-    let syn_s = Unix.gettimeofday () -. t0 in
-    let t1 = Unix.gettimeofday () in
-    (* no dune-under-dune: measure whatever .cmt set the build already
-       produced (empty when nothing is compiled, and the row says so) *)
-    let units = Coinlint.Cmt_loader.load ~allow_build:false roots in
-    let sem = Coinlint.Sem_rules.lint_units ~rules:Coinlint.Sem_rules.all units in
-    let sem_s = Unix.gettimeofday () -. t1 in
-    (* cold race tier: per-function summaries plus the interprocedural
-       rules, no summary cache so the row measures the full analysis *)
-    let t2 = Unix.gettimeofday () in
-    let race = Coinlint.Race_rules.lint_units ~rules:Coinlint.Race_rules.all units in
-    let race_s = Unix.gettimeofday () -. t2 in
-    let t3 = Unix.gettimeofday () in
-    let quorum = Coinlint.Quorum_rules.lint_units ~rules:Coinlint.Quorum_rules.all units in
-    let quorum_s = Unix.gettimeofday () -. t3 in
-    Format.printf "  %-10s %8s %9s %9s@." "tier" "inputs" "findings" "wall_s";
-    Format.printf "  %-10s %8d %9d %9.3f@." "syntactic" files (List.length syn) syn_s;
-    Format.printf "  %-10s %8d %9d %9.3f@." "semantic" (List.length units) (List.length sem)
-      sem_s;
-    Format.printf "  %-10s %8d %9d %9.3f@." "race" (List.length units) (List.length race)
-      race_s;
-    Format.printf "  %-10s %8d %9d %9.3f@." "quorum" (List.length units) (List.length quorum)
-      quorum_s;
-    if units = [] then
-      Format.printf "  (no .cmt files visible: run `dune build @@check` for a real measurement)@.";
-    record ~table:"lint"
-      [
-        ("tier", js "syntactic");
-        ("inputs", ji files);
-        ("findings", ji (List.length syn));
-        ("wall_s", jf syn_s);
-      ];
-    record ~table:"lint"
-      [
-        ("tier", js "semantic");
-        ("inputs", ji (List.length units));
-        ("findings", ji (List.length sem));
-        ("wall_s", jf sem_s);
-      ];
-    record ~table:"lint"
-      [
-        ("tier", js "race");
-        ("inputs", ji (List.length units));
-        ("findings", ji (List.length race));
-        ("wall_s", jf race_s);
-      ];
-    record ~table:"lint"
-      [
-        ("tier", js "quorum");
-        ("inputs", ji (List.length units));
-        ("findings", ji (List.length quorum));
-        ("wall_s", jf quorum_s);
-      ]
-  end
-
-(* ------------------------------------------------------------------ *)
 (* B1: bechamel microbenchmarks                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1198,7 +1127,6 @@ let () =
   if want "e9" then table_e9 ();
   if want "scaling" then table_scaling ();
   if want "sim" then table_sim ();
-  if want "lint" then table_lint ();
   if !run_micro && (want "b1" || want "micro" || !which_table = "all") then micro ();
   (match !json_path with Some path -> write_json path | None -> ());
   Format.printf "@.done.@."

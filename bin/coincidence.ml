@@ -1,19 +1,20 @@
 (* Command-line interface to the library.
 
-   coincidence params    -- inspect the parameter windows for an n
+   coincidence params    -- inspect the parameter windows for an n, with
+                            the Lemma 4.8 and B.7 coin bounds
    coincidence ba        -- run Byzantine Agreement instances
-   coincidence coin      -- flip the shared / WHP coin
    coincidence estimate  -- statistical campaigns (coin / whp-coin /
                             committee / ba), optionally domain-parallel
    coincidence committee -- sample and inspect committees
+   coincidence chain     -- concurrent agreement slots on one network
    coincidence obs       -- run an instrumented BA and summarize it
-   coincidence table1    -- quick Table-1 style comparison run
    coincidence complexity-- word-complexity ledger sweep (E2 crossover)
+   coincidence check     -- exhaustive small-n model checking and replay
 
    `ba` and `obs` take --emit-metrics/--emit-trace/--emit-events to write
    the machine-readable exports (see EXPERIMENTS.md for the schemas).
-   `coin` and `estimate` take --jobs to fan trials over worker domains;
-   outputs are byte-identical for every --jobs value (see DESIGN.md).
+   `estimate` takes --jobs to fan trials over worker domains; outputs
+   are byte-identical for every --jobs value (see DESIGN.md).
    `estimate --emit-metrics` exports the merged per-worker-shard campaign
    metrics (jobs-invariant); `--emit-trace` exports wall-clock worker
    tracks (execution detail, deliberately jobs/time-dependent).           *)
@@ -519,45 +520,6 @@ let obs_cmd =
       $ rsa_bits_arg $ scheduler_arg $ corruption_arg $ unanimous_arg $ emit_metrics_arg
       $ emit_trace_arg $ emit_events_arg $ load_arg)
 
-(* ------------------------------- coin ------------------------------- *)
-
-let coin_cmd =
-  let run n seed trials lambda epsilon d backend rsa_bits committee jobs =
-    match check_campaign_flags ~trials ~jobs with
-    | Error e ->
-        Format.eprintf "coin: %s@." e;
-        2
-    | Ok () ->
-        let keyring = make_keyring backend rsa_bits n seed in
-        if committee then begin
-          let params = make_params n epsilon d lambda in
-          Format.printf "WHP coin (Algorithm 2), %a@." Core.Params.pp params;
-          let est =
-            Core.Analysis.estimate_whp_coin ~jobs ~keyring ~params ~trials ~base_seed:seed ()
-          in
-          Format.printf "%a@." Core.Analysis.pp_coin_estimate est;
-          Format.printf "Lemma B.7 bound: %.4f@." (Core.Params.whp_coin_success_bound ~d)
-        end
-        else begin
-          let f = int_of_float (float_of_int n *. ((1.0 /. 3.0) -. epsilon)) in
-          Format.printf "shared coin (Algorithm 1), n = %d, f = %d@." n f;
-          let est =
-            Core.Analysis.estimate_shared_coin ~jobs ~keyring ~n ~f ~trials ~base_seed:seed ()
-          in
-          Format.printf "%a@." Core.Analysis.pp_coin_estimate est;
-          Format.printf "Lemma 4.8 bound: %.4f@." (Core.Params.coin_success_bound ~epsilon)
-        end;
-        0
-  in
-  let committee_arg =
-    Arg.(value & flag & info [ "committee" ] ~doc:"Use the committee-based WHP coin (Algorithm 2).")
-  in
-  Cmd.v (Cmd.info "coin" ~doc:"Flip the shared coin and estimate its success rate.")
-    Term.(
-      const run $ n_arg $ seed_arg
-      $ Arg.(value & opt int 50 & info [ "trials" ] ~docv:"K" ~doc:"Flips.")
-      $ lambda_arg $ epsilon_arg $ d_arg $ backend_arg $ rsa_bits_arg $ committee_arg $ jobs_arg)
-
 (* ----------------------------- estimate ------------------------------ *)
 
 (* Statistical campaigns with a machine-readable export.  The document
@@ -830,40 +792,6 @@ let chain_cmd =
   in
   Cmd.v (Cmd.info "chain" ~doc:"Decide several agreement slots concurrently on one network.")
     Term.(const run $ n_arg $ seed_arg $ lambda_arg $ epsilon_arg $ d_arg $ slots_arg)
-
-(* ------------------------------ table1 ------------------------------ *)
-
-let table1_cmd =
-  let run seed =
-    let inputs n = Array.init n (fun p -> p mod 2) in
-    Format.printf "%-22s %6s %4s %10s %7s %5s %5s@." "protocol" "n" "f" "words" "rounds" "term"
-      "safe";
-    let pr name n f (words, rounds, live, safe) =
-      Format.printf "%-22s %6d %4d %10d %7d %5b %5b@." name n f words rounds live safe
-    in
-    let b = Baselines.Brun.run_benor ~n:30 ~f:5 ~inputs:(inputs 30) ~seed () in
-    pr "Ben-Or 83" 30 5
-      Baselines.Brun.(b.words, b.rounds, b.all_decided, b.agreement);
-    let r = Baselines.Brun.run_rabin ~n:33 ~f:3 ~inputs:(inputs 33) ~seed () in
-    pr "Rabin 83" 33 3 Baselines.Brun.(r.words, r.rounds, r.all_decided, r.agreement);
-    let br = Baselines.Brun.run_bracha ~n:30 ~f:9 ~inputs:(inputs 30) ~seed () in
-    pr "Bracha 87" 30 9 Baselines.Brun.(br.words, br.rounds, br.all_decided, br.agreement);
-    let kr = make_keyring `Mock 256 30 seed in
-    let m =
-      Baselines.Brun.run_mmr ~coin:(Baselines.Mmr.Vrf_coin kr) ~n:30 ~f:9 ~inputs:(inputs 30)
-        ~seed ()
-    in
-    pr "MMR 15 + Alg.1 coin" 30 9 Baselines.Brun.(m.words, m.rounds, m.all_decided, m.agreement);
-    let kr32 = make_keyring `Mock 256 32 seed in
-    let p = make_params 32 0.25 0.04 None in
-    let o = Core.Runner.run_ba ~keyring:kr32 ~params:p ~inputs:(inputs 32) ~seed () in
-    pr "Ours (Alg.4)" 32 p.Core.Params.f
-      Core.Runner.(o.words, o.rounds, o.all_decided, o.agreement);
-    0
-  in
-  Cmd.v
-    (Cmd.info "table1" ~doc:"Quick Table-1 style comparison (see bench/main.exe for the full version).")
-    Term.(const run $ seed_arg)
 
 (* ---------------------------- complexity ----------------------------- *)
 
@@ -1393,11 +1321,9 @@ let () =
             params_cmd;
             ba_cmd;
             obs_cmd;
-            coin_cmd;
             estimate_cmd;
             committee_cmd;
             chain_cmd;
-            table1_cmd;
             complexity_cmd;
             check_cmd;
           ]))

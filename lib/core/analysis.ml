@@ -19,13 +19,6 @@ type coin_estimate = {
 let check_trials trials =
   if trials <= 0 then invalid_arg "Analysis: trials must be positive"
 
-(* With one worker the caller's keyring is used directly (warming its
-   caches, as the sequential estimators always did); parallel workers each
-   clone it so no mutable key material crosses a domain boundary. *)
-let keyring_ctx ~jobs keyring =
-  if Exec.resolve_jobs jobs <= 1 then fun _ -> keyring
-  else fun _ -> Vrf.Keyring.clone keyring
-
 (* -------------------- campaign observability ------------------------- *)
 
 type campaign_obs = {
@@ -46,40 +39,14 @@ let campaign_obs ?(clock = zero_clock) ~jobs () =
     obs_spans = Array.init workers (fun _ -> Obs.Span.create clock);
   }
 
-(* Everything a worker domain may touch, bundled at context-creation
-   time: the keyring is this worker's own clone (or the caller's, when
-   sequential), and the observability pair is this worker's claimed
-   shard plus its span recorder.  Workers receive the slot as their
-   first argument and must reach shared campaign state only through it —
-   the race tier's domain-escape rule checks exactly that. *)
+(* Everything a worker domain may touch: its keyring and, when observed,
+   its claimed metric shard plus its span recorder.  Trials receive the
+   slot as their first argument and reach campaign state only through
+   it. *)
 type worker_slot = {
   slot_keyring : Vrf.Keyring.t;
   slot_obs : (Obs.Metrics.t * Obs.Span.t) option;
 }
-
-(* Worker context: claim the worker's shard (a cross-campaign aliasing
-   guard, not a lock), select its span recorder, and pair both with the
-   worker's keyring.  Runs on the worker domain (Exec applies ~ctx
-   there), so every hand-off below is a sanctioned per-worker boundary:
-   Sharded.claim, per-worker array selection, Keyring.clone. *)
-let campaign_ctx ?obs ~jobs keyring =
-  let kr = keyring_ctx ~jobs keyring in
-  fun w ->
-    let slot_obs =
-      match obs with
-      | Some o ->
-          let shard = Obs.Metrics.Sharded.claim o.obs_metrics w in
-          Some (shard, o.obs_spans.(w))
-      | None -> None
-    in
-    { slot_keyring = kr w; slot_obs }
-
-(* Release shard claims once the pool has joined — even if a trial raised
-   — so the same [campaign_obs] can aggregate several campaigns. *)
-let with_claims ?obs f =
-  match obs with
-  | None -> f ()
-  | Some o -> Fun.protect ~finally:(fun () -> Obs.Metrics.Sharded.release_all o.obs_metrics) f
 
 (* Per-trial recording wrapper.  Everything recorded is a pure function
    of the trial (integer-valued observations, per-trial cache deltas), so
@@ -108,6 +75,35 @@ let observed ~slot ~kind ~trial ~record run =
         ~labels:kl "verify_cache_misses";
       record shard result;
       result
+
+(* The tree's one Exec.map call.  [ctx] runs once per worker, on that
+   worker's domain, and builds its slot there: with one worker the
+   caller's keyring is used directly (warming its caches, as the
+   sequential estimators always did); otherwise every worker, slot 0
+   included, works on its own clone, so no mutable key material is read
+   on one domain while another writes its caches.  Shard claims are
+   released once the pool has joined, even if a trial raised, so the
+   same [campaign_obs] can aggregate several campaigns.  coinlint's
+   domain-escape rule checks both closures handed to Exec here and the
+   trial function of every call. *)
+let campaign ?obs ~jobs ~keyring ~kind ~record trials trial =
+  let run () =
+    Exec.map ~jobs trials
+      ~ctx:(fun w ->
+        let slot_keyring =
+          if Exec.resolve_jobs jobs <= 1 then keyring else Vrf.Keyring.clone keyring
+        in
+        let slot_obs =
+          match obs with
+          | Some o -> Some (Obs.Metrics.Sharded.claim o.obs_metrics w, o.obs_spans.(w))
+          | None -> None
+        in
+        { slot_keyring; slot_obs })
+      (fun slot i -> observed ~slot ~kind ~trial:i ~record (fun () -> trial slot i))
+  in
+  match obs with
+  | None -> run ()
+  | Some o -> Fun.protect ~finally:(fun () -> Obs.Metrics.Sharded.release_all o.obs_metrics) run
 
 let record_coin_trial ~kind shard (o : Runner.coin_outcome) =
   let kl = [ ("kind", kind) ] in
@@ -150,14 +146,11 @@ let estimate_shared_coin ?scheduler ?(crash = 0) ?(jobs = 1) ?obs ~keyring ~n ~f
     ~base_seed () =
   check_trials trials;
   let outcomes =
-    with_claims ?obs (fun () ->
-        Exec.map ~jobs ~ctx:(campaign_ctx ?obs ~jobs keyring) trials (fun slot i ->
-            let seed = base_seed + i in
-            let keyring = slot.slot_keyring in
-            observed ~slot ~kind:"coin" ~trial:i ~record:(record_coin_trial ~kind:"coin")
-              (fun () ->
-                Runner.run_shared_coin ?scheduler ~pre_corrupt:(crash_set ~seed ~n ~crash)
-                  ~keyring ~n ~f ~round:i ~seed ())))
+    campaign ?obs ~jobs ~keyring ~kind:"coin" ~record:(record_coin_trial ~kind:"coin") trials
+      (fun slot i ->
+        let seed = base_seed + i in
+        Runner.run_shared_coin ?scheduler ~pre_corrupt:(crash_set ~seed ~n ~crash)
+          ~keyring:slot.slot_keyring ~n ~f ~round:i ~seed ())
   in
   coin_estimate_of ~trials outcomes
 
@@ -166,14 +159,11 @@ let estimate_whp_coin ?scheduler ?(crash = 0) ?(jobs = 1) ?obs ~keyring ~params 
   check_trials trials;
   let n = params.Params.n in
   let outcomes =
-    with_claims ?obs (fun () ->
-        Exec.map ~jobs ~ctx:(campaign_ctx ?obs ~jobs keyring) trials (fun slot i ->
-            let seed = base_seed + i in
-            let keyring = slot.slot_keyring in
-            observed ~slot ~kind:"whp-coin" ~trial:i
-              ~record:(record_coin_trial ~kind:"whp-coin") (fun () ->
-                Runner.run_whp_coin ?scheduler ~pre_corrupt:(crash_set ~seed ~n ~crash) ~keyring
-                  ~params ~round:i ~seed ())))
+    campaign ?obs ~jobs ~keyring ~kind:"whp-coin" ~record:(record_coin_trial ~kind:"whp-coin")
+      trials (fun slot i ->
+        let seed = base_seed + i in
+        Runner.run_whp_coin ?scheduler ~pre_corrupt:(crash_set ~seed ~n ~crash)
+          ~keyring:slot.slot_keyring ~params ~round:i ~seed ())
   in
   coin_estimate_of ~trials outcomes
 
@@ -198,20 +188,17 @@ let estimate_committees ?(jobs = 1) ?obs ~keyring ~params ~trials ~base_seed () 
   (* Per trial: committee size and its Byzantine-member count; the S1-S4
      threshold counting happens in the (ordered) sequential fold below. *)
   let samples =
-    with_claims ?obs (fun () ->
-        Exec.map ~jobs ~ctx:(campaign_ctx ?obs ~jobs keyring) trials (fun slot i ->
-            observed ~slot ~kind:"committee" ~trial:i
-              ~record:(fun shard (size, byz_count) ->
-                let kl = [ ("kind", "committee") ] in
-                Obs.Metrics.observe shard ~labels:kl "committee_size" (float_of_int size);
-                Obs.Metrics.observe shard ~labels:kl "committee_byz" (float_of_int byz_count))
-              (fun () ->
-                let com =
-                  Sample.committee slot.slot_keyring
-                    ~s:(Printf.sprintf "est-%d-%d" base_seed (i + 1))
-                    ~lambda
-                in
-                (List.length com, List.length (List.filter is_byz com)))))
+    campaign ?obs ~jobs ~keyring ~kind:"committee"
+      ~record:(fun shard (size, byz_count) ->
+        let kl = [ ("kind", "committee") ] in
+        Obs.Metrics.observe shard ~labels:kl "committee_size" (float_of_int size);
+        Obs.Metrics.observe shard ~labels:kl "committee_byz" (float_of_int byz_count))
+      trials
+      (fun slot i ->
+        let com =
+          Sample.committee slot.slot_keyring ~s:(Printf.sprintf "est-%d-%d" base_seed (i + 1)) ~lambda
+        in
+        (List.length com, List.length (List.filter is_byz com)))
   in
   let s1 = ref 0 and s2 = ref 0 and s3 = ref 0 and s4 = ref 0 in
   let sizes = ref [] in
@@ -248,16 +235,12 @@ let estimate_ba ?scheduler ?(corruption = Runner.Honest) ?(mixed_inputs = true) 
     Obs.Metrics.observe shard ~labels:kl "trial_depth" (float_of_int o.Runner.depth)
   in
   let outcomes =
-    with_claims ?obs (fun () ->
-        Exec.map ~jobs ~ctx:(campaign_ctx ?obs ~jobs keyring) trials (fun slot i ->
-            let seed = base_seed + i in
-            let inputs =
-              if mixed_inputs then Array.init n (fun p -> (p + i) mod 2) else Array.make n 1
-            in
-            observed ~slot ~kind:"ba" ~trial:i ~record:record_ba (fun () ->
-                ( Runner.run_ba ?scheduler ~corruption ~keyring:slot.slot_keyring ~params ~inputs
-                    ~seed (),
-                  inputs ))))
+    campaign ?obs ~jobs ~keyring ~kind:"ba" ~record:record_ba trials (fun slot i ->
+        let seed = base_seed + i in
+        let inputs =
+          if mixed_inputs then Array.init n (fun p -> (p + i) mod 2) else Array.make n 1
+        in
+        (Runner.run_ba ?scheduler ~corruption ~keyring:slot.slot_keyring ~params ~inputs ~seed (), inputs))
   in
   let safe = ref 0 and complete = ref 0 in
   let rounds = ref [] and words = ref [] and depth = ref [] in

@@ -161,13 +161,12 @@ let check_bench_schema doc =
   | None -> Error "missing \"schema\" member"
 
 (* The stable comparison surface: b1 micro rows as (name, ns_per_op),
-   the lint table's per-tier analysis cost as ("lint/<tier>", wall
-   nanoseconds) — so a race-tier slowdown trips the same gate as a
-   kernel regression — and the sim table's raw engine throughput rows as
-   ("sim/<protocol>", ns per message), so a delivery-loop slowdown does
-   too.  Sim rows without a [msgs_per_sec] member (protocol runs, the
-   heap audit) carry statistical estimates whose run-to-run drift is
-   expected and stay out, as do the experiment tables. *)
+   and the sim table's raw engine throughput rows as ("sim/<protocol>",
+   ns per message), so a delivery-loop slowdown trips the same gate as a
+   kernel regression.  Sim rows without a [msgs_per_sec] member
+   (protocol runs, the heap audit) carry statistical estimates whose
+   run-to-run drift is expected and stay out, as do the experiment
+   tables. *)
 let comparable_rows doc =
   List.filter_map
     (fun r ->
@@ -178,13 +177,6 @@ let comparable_rows doc =
               Option.bind (Json.member "ns_per_op" r) Json.to_float_opt )
           with
           | Some name, Some v -> Some (name, v)
-          | _ -> None)
-      | Some (Json.Str "lint") -> (
-          match
-            ( Option.bind (Json.member "tier" r) Json.to_string_opt,
-              Option.bind (Json.member "wall_s" r) Json.to_float_opt )
-          with
-          | Some tier, Some v -> Some ("lint/" ^ tier, v *. 1e9)
           | _ -> None)
       | Some (Json.Str "sim") -> (
           match
@@ -205,8 +197,8 @@ let bench_compare ~threshold old_doc new_doc =
   | Ok (), Ok () -> (
       let olds = comparable_rows old_doc and news = comparable_rows new_doc in
       match (olds, news) with
-      | [], _ -> Error "old document has no comparable (b1, lint or sim) rows"
-      | _, [] -> Error "new document has no comparable (b1, lint or sim) rows"
+      | [], _ -> Error "old document has no comparable (b1 or sim) rows"
+      | _, [] -> Error "new document has no comparable (b1 or sim) rows"
       | _, _ ->
           Ok
             (List.filter_map

@@ -54,8 +54,8 @@ val chrome_trace : Json.t list -> Json.t
 (** {2 Bench comparison}
 
     Diff two {!bench_schema} documents by their comparable rows — the
-    [b1] microbenchmark rows plus the [lint] table's per-tier analysis
-    cost (as ["lint/<tier>"] pseudo-benchmarks) — the regression gate
+    [b1] microbenchmark rows plus the [sim] table's engine throughput
+    rows (as ["sim/<protocol>"] pseudo-benchmarks) — the regression gate
     behind [bench --compare]. *)
 
 type bench_delta = {

@@ -1,4 +1,4 @@
-(* Typedtree acquisition for coinlint's semantic tier.
+(* Typedtree acquisition for coinlint.
 
    Two sources, one output shape (a list of [unit_] values):
 
@@ -17,13 +17,12 @@
        no files, no build, same Typedtree the rules see in production.
 
    Loading a .cmt only unmarshals the stored tree — no type environment
-   reconstruction — so the semantic tier never recompiles anything the
-   build has not already paid for. *)
+   reconstruction — so coinlint never recompiles anything the build has
+   not already paid for. *)
 
 type unit_ = {
   rel : string;      (* source path as recorded by the compiler, e.g. lib/core/coin.ml *)
   modname : string;  (* demangled module name, e.g. Coin *)
-  digest : string;   (* source digest (cache key for the race-tier summaries) *)
   structure : Typedtree.structure;
 }
 
@@ -89,21 +88,8 @@ let source_under roots src =
 
 let load_cmt path =
   match Cmt_format.read_cmt path with
-  | {
-      cmt_annots = Implementation structure;
-      cmt_sourcefile = Some rel;
-      cmt_modname;
-      cmt_source_digest;
-      _;
-    } ->
-      Some
-        {
-          rel;
-          modname = Option.value ~default:cmt_modname (demangle cmt_modname);
-          digest =
-            (match cmt_source_digest with Some d -> Digest.to_hex d | None -> "");
-          structure;
-        }
+  | { cmt_annots = Implementation structure; cmt_sourcefile = Some rel; cmt_modname; _ } ->
+      Some { rel; modname = Option.value ~default:cmt_modname (demangle cmt_modname); structure }
   | _ -> None
   | exception _ -> None  (* unreadable / wrong-version .cmt: the build will complain, not us *)
 
@@ -122,10 +108,10 @@ let scan ~base roots =
       end)
     (List.sort (fun a b -> String.compare a.rel b.rel) units)
 
-(* Load the semantic tier's input for [roots].  [allow_build] (default
-   true) permits driving `dune build @check` when nothing is compiled
-   yet; it is forced off under dune, where the artefacts are declared as
-   rule deps instead. *)
+(* Load the units under [roots].  [allow_build] (default true) permits
+   driving `dune build @check` when nothing is compiled yet; it is forced
+   off under dune, where the artefacts are declared as rule deps
+   instead. *)
 let load ?(allow_build = true) roots =
   let attempt () = match build_base () with Some base -> scan ~base roots | None -> [] in
   let units = attempt () in
@@ -162,12 +148,8 @@ let typecheck_impl ~filename source =
 let modname_of_rel rel =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename rel))
 
-(* Typecheck a source string into a semantic-tier unit.  Raises on
-   ill-typed input; sem_rules turns that into a "typecheck" finding. *)
+(* Typecheck a source string into a unit.  Raises on input that does not
+   parse or typecheck; Engine.lint_source turns that into a "typecheck"
+   finding. *)
 let unit_of_source ~rel source =
-  {
-    rel;
-    modname = modname_of_rel rel;
-    digest = Digest.to_hex (Digest.string source);
-    structure = typecheck_impl ~filename:rel source;
-  }
+  { rel; modname = modname_of_rel rel; structure = typecheck_impl ~filename:rel source }

@@ -1,36 +1,33 @@
-(* coinlint engine: file discovery, parsing, attribute-scoped allowlisting
-   and the syntactic rule-dispatch AST walk, plus the reporters shared by
-   both analysis tiers.
+(* coinlint engine: one walk over the Typedtree of each compilation unit,
+   driven by the rule registry (registry.ml).
 
-   coinlint has two tiers:
+   Input is the .cmt set that `dune build @check` writes (cmt_loader.ml),
+   or a fixture string typechecked in-process.  Every identifier is
+   resolved to a normalized path before a rule sees it: `module R =
+   Random` aliases are expanded through a per-unit alias map, `open`s
+   are already expanded by the typechecker, and dune's name-mangled
+   prefixes (`Core__Coin`, `Stdlib__Random`, alias stubs like `Core__`)
+   are demangled away.  Rules therefore fire on what code means, not on
+   how it is spelled.
 
-     - the *syntactic* tier (this module + rules.ml) runs on the
-       Parsetree, before any typing.  It is build-independent and fast,
-       but rules over-approximate and fire on what code *spells*: a
-       `module R = Random` alias or a local `open` silently defeats them.
+   A rule is a set of hooks on the walk: [on_expr] for every expression,
+   [on_item] for every structure item before the walk descends into it,
+   [on_done] once the unit is walked.  [make] builds fresh hooks per unit,
+   so per-unit state (guard counts, declared constructors) lives in the
+   closures.
 
-     - the *semantic* tier (cmt_loader.ml + sem_rules.ml) runs on the
-       Typedtree loaded from the .cmt files `dune build @check` produces,
-       so identifiers resolve to fully-qualified paths and rules fire on
-       what code *means*.
+   Each finding records the enclosing top-level [symbol], which is what
+   --baseline keys on (rule/file/symbol, deliberately not line numbers,
+   so a saved baseline survives unrelated edits).
 
-   Findings from both tiers carry a `tier` tag and merge into the same
-   human and JSON reports (schema coincidence.lint/2).  Each finding also
-   records the enclosing top-level `symbol`, which is what --baseline
-   keys on (rule/file/symbol, deliberately not line numbers, so a saved
-   baseline survives unrelated edits).
-
-   Allow attributes scope lexically and apply uniformly to both tiers:
+   Allow attributes scope lexically:
      - on an expression:      (e [@lint.allow "poly-compare"])
      - on a let binding:      let[@lint.allow "r"] f x = ...
-     - floating, file-level:  [@@@lint.allow "r"]  (rest of the file)
+     - floating, file-level:  [@@@lint.allow "r"]  (rest of the structure)
    The payload is a string of rule names separated by spaces or commas;
-   the name "all" suppresses every rule. *)
-
-(* One link of a race-tier witness chain: value origin, capture site,
-   hand-offs, violating consumption, worker-pool call site — oldest
-   first.  Empty for the syntactic and semantic tiers. *)
-type witness_step = { w_what : string; w_file : string; w_line : int; w_col : int }
+   the name "all" suppresses every rule.  A malformed payload is itself a
+   finding (rule "lint"): a typo'd allow that suppresses nothing is
+   exactly the kind of bug a linter exists for. *)
 
 type finding = {
   file : string;
@@ -38,45 +35,56 @@ type finding = {
   col : int;
   rule : string;
   msg : string;
-  tier : string;    (* "syntactic" | "semantic" | "race" *)
   symbol : string;  (* enclosing top-level binding, "" at module level *)
-  witness : witness_step list;
 }
 
-type report = loc:Location.t -> string -> unit
+type ctx = {
+  rel : string;      (* source path as reported in findings *)
+  modname : string;  (* demangled compilation-unit name, e.g. Coin *)
+  decls : Mut_types.table;
+  aliases : (string, string list) Hashtbl.t;  (* Ident.unique_name -> path *)
+  mutable allows : string list list;          (* lexical allow frames, innermost first *)
+  mutable sym : string;
+  mutable out : finding list;
+}
+
+type hooks = {
+  on_expr : Typedtree.expression -> unit;
+  on_item : Typedtree.structure_item -> unit;
+  on_done : unit -> unit;
+}
+
+let no_hooks = { on_expr = ignore; on_item = ignore; on_done = ignore }
 
 type rule = {
   name : string;
   summary : string;  (* one line, shown by --list-rules and in DESIGN.md *)
-  check : report:report -> rel:string -> Parsetree.expression -> unit;
+  make : ctx -> hooks;
 }
 
-let tier_syntactic = "syntactic"
-let tier_semantic = "semantic"
-let tier_race = "race"
-let tier_quorum = "quorum"
+(* --------------------------- reporting ------------------------------- *)
 
-type ctx = {
-  rel : string;                       (* path as reported in findings *)
-  mutable allows : string list list;  (* lexical allow frames, innermost first *)
-  mutable sym : string;               (* enclosing top-level binding name *)
-  mutable out : finding list;
-}
-
-let add ctx ~(loc : Location.t) ~rule msg =
+let add ctx ~rule ~symbol ~(loc : Location.t) msg =
   let p = loc.loc_start in
   ctx.out <-
-    {
-      file = ctx.rel;
-      line = p.pos_lnum;
-      col = p.pos_cnum - p.pos_bol;
-      rule;
-      msg;
-      tier = tier_syntactic;
-      symbol = ctx.sym;
-      witness = [];
-    }
+    { file = ctx.rel; line = p.pos_lnum; col = p.pos_cnum - p.pos_bol; rule; msg; symbol }
     :: ctx.out
+
+let allowed_in frames rule =
+  List.exists
+    (List.exists (fun a -> String.equal a rule || String.equal a "all"))
+    frames
+
+let report ctx ~rule ~loc msg =
+  if not (allowed_in ctx.allows rule) then add ctx ~rule ~symbol:ctx.sym ~loc msg
+
+(* Snapshot the allow frames and enclosing symbol now, deliver the
+   finding later (rules that conclude in [on_done], after the frames are
+   gone). *)
+let capture ctx ~rule ~loc =
+  let suppressed = allowed_in ctx.allows rule in
+  let symbol = ctx.sym in
+  fun msg -> if not suppressed then add ctx ~rule ~symbol ~loc msg
 
 (* ---------------------- allow-attribute parsing ---------------------- *)
 
@@ -87,10 +95,8 @@ let split_names s =
   |> List.concat_map (String.split_on_char ',')
   |> List.filter (fun x -> not (String.equal x ""))
 
-(* Returns the rule names of one [@lint.allow] attribute, or [None] when
-   the attribute is someone else's or malformed.  Shared with the
-   semantic tier, which must not re-report malformed payloads the
-   syntactic pass already flagged. *)
+(* The rule names of one [@lint.allow] attribute, or [None] when the
+   attribute is someone else's or malformed. *)
 let allow_payload (a : Parsetree.attribute) =
   if not (String.equal a.attr_name.txt attr_name) then None
   else
@@ -107,95 +113,131 @@ let allow_payload (a : Parsetree.attribute) =
         Some (split_names s)
     | _ -> None
 
-(* A malformed payload is reported as a finding instead of being silently
-   ignored: a typo'd allow that suppresses nothing is exactly the kind of
-   bug a linter exists for. *)
-let allow_frame ctx (a : Parsetree.attribute) =
-  match allow_payload a with
-  | Some names -> Some names
-  | None ->
-      if String.equal a.attr_name.txt attr_name then
-        add ctx ~loc:a.attr_loc ~rule:"lint"
-          "malformed [@lint.allow] payload: expected a string of rule names";
-      None
+(* --------------------- path resolution/normalization ------------------ *)
 
-let allows_of_attrs ctx attrs = List.filter_map (allow_frame ctx) attrs
+let rec raw_path ctx (p : Path.t) =
+  match p with
+  | Path.Pident id -> (
+      match Hashtbl.find_opt ctx.aliases (Ident.unique_name id) with
+      | Some path -> path
+      | None -> ( match Cmt_loader.demangle (Ident.name id) with Some s -> [ s ] | None -> []))
+  | Path.Pdot (p, s) -> raw_path ctx p @ [ s ]
+  | Path.Papply (p, _) -> raw_path ctx p
+  | Path.Pextra_ty (p, _) -> raw_path ctx p
 
-let allowed_in frames rule =
-  List.exists
-    (List.exists (fun a -> String.equal a rule || String.equal a "all"))
-    frames
+let normalize ctx p = match raw_path ctx p with "Stdlib" :: rest -> rest | path -> path
 
-let allowed ctx rule = allowed_in ctx.allows rule
+let ident_path ctx (e : Typedtree.expression) =
+  match e.exp_desc with Texp_ident (p, _, _) -> Some (normalize ctx p) | _ -> None
 
-let rec binding_name (p : Parsetree.pattern) =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint (p, _) -> binding_name p
+let ends_with = Mut_types.ends_with
+let path_equal p q = List.length p = List.length q && List.for_all2 String.equal p q
+let dots = String.concat "."
+let last_of = function [] -> "" | path -> List.nth path (List.length path - 1)
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.equal (String.sub s 0 (String.length prefix)) prefix
+
+(* [rel] is the repo-relative path the compiler recorded (or a fixture's
+   name); a rule scoped to directories matches on its prefix. *)
+let in_dirs rel dirs = List.exists (fun prefix -> starts_with ~prefix rel) dirs
+
+let classify ctx ty =
+  Mut_types.classify ctx.decls ~normalize:(normalize ctx) ~modname:ctx.modname ty
+
+let rec vb_name (p : Typedtree.pattern) =
+  match p.pat_desc with
+  | Tpat_var (_, { txt; _ }) -> Some txt
+  | Tpat_alias (p, _, _) -> vb_name p
   | _ -> None
 
-(* ------------------------------ walk -------------------------------- *)
+let exists_subexpr p e =
+  let found = ref false in
+  let super = Tast_iterator.default_iterator in
+  let it = { super with expr = (fun it e -> if p e then found := true else super.expr it e) } in
+  it.expr it e;
+  !found
 
-let iterator ~rules ctx =
-  let super = Ast_iterator.default_iterator in
-  let with_frames frames f =
-    if frames = [] then f ()
-    else begin
-      let saved = ctx.allows in
-      ctx.allows <- frames @ ctx.allows;
-      f ();
-      ctx.allows <- saved
-    end
+(* ------------------------------- walk --------------------------------- *)
+
+let walk ctx hooks (str : Typedtree.structure) =
+  let super = Tast_iterator.default_iterator in
+  let frames attrs =
+    List.filter_map
+      (fun (a : Parsetree.attribute) ->
+        match allow_payload a with
+        | Some names -> Some names
+        | None ->
+            if String.equal a.attr_name.txt attr_name then
+              add ctx ~rule:"lint" ~symbol:ctx.sym ~loc:a.attr_loc
+                "malformed [@lint.allow] payload: expected a string of rule names";
+            None)
+      attrs
   in
-  let expr it (e : Parsetree.expression) =
-    with_frames (allows_of_attrs ctx e.pexp_attributes) (fun () ->
-        List.iter
-          (fun r ->
-            let report ~loc msg = if not (allowed ctx r.name) then add ctx ~loc ~rule:r.name msg in
-            r.check ~report ~rel:ctx.rel e)
-          rules;
+  let with_frames attrs f =
+    match frames attrs with
+    | [] -> f ()
+    | fs ->
+        let saved = ctx.allows in
+        ctx.allows <- fs @ saved;
+        f ();
+        ctx.allows <- saved
+  in
+  let record_alias id (m : Typedtree.module_expr) =
+    let rec alias_path (m : Typedtree.module_expr) =
+      match m.mod_desc with
+      | Tmod_ident (p, _) -> Some p
+      | Tmod_constraint (m, _, _, _) -> alias_path m
+      | _ -> None
+    in
+    match (id, alias_path m) with
+    | Some id, Some p -> Hashtbl.replace ctx.aliases (Ident.unique_name id) (normalize ctx p)
+    | _ -> ()
+  in
+  let expr it (e : Typedtree.expression) =
+    with_frames e.exp_attributes (fun () ->
+        (match e.exp_desc with
+        | Texp_letmodule (id, _, _, m, _) -> record_alias id m
+        | _ -> ());
+        List.iter (fun h -> h.on_expr e) hooks;
         super.expr it e)
   in
-  let value_binding it (vb : Parsetree.value_binding) =
-    with_frames (allows_of_attrs ctx vb.pvb_attributes) (fun () -> super.value_binding it vb)
+  let value_binding it (vb : Typedtree.value_binding) =
+    with_frames vb.vb_attributes (fun () -> super.value_binding it vb)
   in
-  let structure_item (it : Ast_iterator.iterator) (item : Parsetree.structure_item) =
-    match item.pstr_desc with
-    | Pstr_value (_, vbs) ->
+  let structure_item (it : Tast_iterator.iterator) (si : Typedtree.structure_item) =
+    (match si.str_desc with Tstr_module mb -> record_alias mb.mb_id mb.mb_expr | _ -> ());
+    List.iter (fun h -> h.on_item si) hooks;
+    match si.str_desc with
+    | Tstr_value (_, vbs) ->
         (* Top-level bindings name the enclosing symbol recorded on each
            finding (the --baseline key); nested lets keep the outer name. *)
         List.iter
-          (fun (vb : Parsetree.value_binding) ->
+          (fun (vb : Typedtree.value_binding) ->
             let saved = ctx.sym in
-            (match binding_name vb.pvb_pat with Some n -> ctx.sym <- n | None -> ());
+            Option.iter (fun n -> ctx.sym <- n) (vb_name vb.vb_pat);
             it.value_binding it vb;
             ctx.sym <- saved)
           vbs
-    | _ -> super.structure_item it item
+    | _ -> super.structure_item it si
   in
-  let structure (it : Ast_iterator.iterator) items =
-    (* A floating [@@@lint.allow] covers the remainder of its structure. *)
+  let structure (it : Tast_iterator.iterator) (str : Typedtree.structure) =
+    (* A floating [@@@lint.allow] covers the rest of its structure. *)
     let saved = ctx.allows in
     List.iter
-      (fun (item : Parsetree.structure_item) ->
-        (match item.pstr_desc with
-        | Pstr_attribute a -> (
-            match allow_frame ctx a with
-            | Some frame -> ctx.allows <- frame :: ctx.allows
-            | None -> ())
+      (fun (item : Typedtree.structure_item) ->
+        (match item.str_desc with
+        | Tstr_attribute a -> ctx.allows <- frames [ a ] @ ctx.allows
         | _ -> ());
         it.structure_item it item)
-      items;
+      str.str_items;
     ctx.allows <- saved
   in
-  { super with expr; value_binding; structure_item; structure }
+  let it = { super with expr; value_binding; structure_item; structure } in
+  it.structure it str
 
-(* ----------------------------- driving ------------------------------ *)
-
-let parse_impl ~filename source =
-  let lexbuf = Lexing.from_string source in
-  Lexing.set_filename lexbuf filename;
-  Parse.implementation lexbuf
+(* ------------------------------ driving -------------------------------- *)
 
 let compare_findings a b =
   let c = String.compare a.file b.file in
@@ -205,121 +247,82 @@ let compare_findings a b =
     if c <> 0 then c
     else
       let c = Int.compare a.col b.col in
-      if c <> 0 then c
-      else
-        let c = String.compare a.rule b.rule in
-        if c <> 0 then c else String.compare a.tier b.tier
+      if c <> 0 then c else String.compare a.rule b.rule
 
+(* Type declarations are collected from every unit first, so a type that
+   is abstract at its use site (Vrf.Keyring.t) classifies by the record
+   its own unit declares. *)
+let lint_units ~rules (units : Cmt_loader.unit_ list) =
+  let decls =
+    Mut_types.table (List.map (fun (u : Cmt_loader.unit_) -> (u.modname, u.structure)) units)
+  in
+  let lint_unit (u : Cmt_loader.unit_) =
+    let ctx =
+      {
+        rel = u.rel;
+        modname = u.modname;
+        decls;
+        aliases = Hashtbl.create 16;
+        allows = [];
+        sym = "";
+        out = [];
+      }
+    in
+    let hooks = List.map (fun r -> r.make ctx) rules in
+    walk ctx hooks u.structure;
+    List.iter (fun h -> h.on_done ()) hooks;
+    ctx.out
+  in
+  List.sort compare_findings (List.concat_map lint_unit units)
+
+(* Typecheck a fixture string and lint it — the test-suite entry point.
+   Input that does not parse or typecheck becomes a "typecheck" finding. *)
 let lint_source ~rules ~rel source =
-  let ctx = { rel; allows = []; sym = ""; out = [] } in
-  (try
-     let ast = parse_impl ~filename:rel source in
-     let it = iterator ~rules ctx in
-     it.structure it ast
-   with exn ->
-     (* A file the compiler cannot parse will fail the build anyway; the
-        finding only localises the problem in lint-only runs. *)
-     ctx.out <-
-       {
-         file = rel;
-         line = 1;
-         col = 0;
-         rule = "parse";
-         msg = "cannot parse: " ^ Printexc.to_string exn;
-         tier = tier_syntactic;
-         symbol = "";
-         witness = [];
-       }
-       :: ctx.out);
-  List.sort compare_findings ctx.out
+  match Cmt_loader.unit_of_source ~rel source with
+  | u -> lint_units ~rules [ u ]
+  | exception exn ->
+      [
+        {
+          file = rel;
+          line = 1;
+          col = 0;
+          rule = "typecheck";
+          msg = "cannot typecheck: " ^ Printexc.to_string exn;
+          symbol = "";
+        };
+      ]
+
+(* ----------------------------- baseline ------------------------------ *)
+
+(* Baseline suppression keys on rule/file/symbol — not line/col — so a
+   saved report keeps suppressing a known finding while unrelated lines
+   above it churn: freeze today's findings, fail CI only on new ones,
+   burn the baseline down over time. *)
+type baseline_key = { b_rule : string; b_file : string; b_symbol : string }
+
+let baseline_of_finding f = { b_rule = f.rule; b_file = f.file; b_symbol = f.symbol }
+
+let key_equal a b =
+  String.equal a.b_rule b.b_rule && String.equal a.b_file b.b_file
+  && String.equal a.b_symbol b.b_symbol
+
+let key_of_json f =
+  let str k = Option.bind (Obs.Json.member k f) Obs.Json.to_string_opt in
+  match (str "rule", str "file") with
+  | Some b_rule, Some b_file ->
+      Some { b_rule; b_file; b_symbol = Option.value ~default:"" (str "symbol") }
+  | _ -> None
+
+let baseline_of_json doc =
+  match Obs.Json.member "findings" doc with
+  | Some fs -> Ok (List.filter_map key_of_json (Obs.Json.to_list fs))
+  | None -> Error "baseline document has no \"findings\" member"
 
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let lint_file ~rules path = lint_source ~rules ~rel:path (read_file path)
-
-(* Recursive *.ml discovery under each root, skipping _build-style and
-   hidden directories; deterministic order. *)
-let discover roots =
-  let acc = ref [] in
-  let rec walk dir =
-    match Sys.readdir dir with
-    | entries ->
-        Array.sort String.compare entries;
-        Array.iter
-          (fun entry ->
-            if String.length entry > 0 && entry.[0] <> '.' && entry.[0] <> '_' then begin
-              let path = Filename.concat dir entry in
-              if Sys.is_directory path then walk path
-              else if Filename.check_suffix entry ".ml" then acc := path :: !acc
-            end)
-          entries
-    | exception Sys_error _ -> ()
-  in
-  List.iter
-    (fun root ->
-      if Sys.file_exists root && not (Sys.is_directory root) then begin
-        if Filename.check_suffix root ".ml" then acc := root :: !acc
-      end
-      else walk root)
-    roots;
-  List.sort String.compare !acc
-
-let lint_paths ~rules roots =
-  let files = discover roots in
-  let findings = List.concat_map (lint_file ~rules) files in
-  (List.length files, List.sort compare_findings findings)
-
-(* ------------------------------ merge -------------------------------- *)
-
-(* A plain violation (no alias games) is seen by both tiers at the same
-   location; keep the first occurrence (callers pass the syntactic list
-   first) so the merged report never double-counts one site. *)
-let same_site a b =
-  String.equal a.file b.file && a.line = b.line && a.col = b.col && String.equal a.rule b.rule
-
-let merge_findings first second =
-  let deduped =
-    List.filter (fun s -> not (List.exists (fun f -> same_site f s) first)) second
-  in
-  List.sort compare_findings (first @ deduped)
-
-(* ----------------------------- baseline ------------------------------ *)
-
-(* Baseline suppression keys on rule/file/symbol — not line/col — so a
-   saved coincidence.lint/2 report keeps suppressing a known finding
-   while unrelated lines above it churn.  This is what lets the semantic
-   tier land on a large tree incrementally: freeze today's findings,
-   fail CI only on new ones, burn the baseline down over time. *)
-type baseline_key = { b_rule : string; b_file : string; b_symbol : string }
-
-let baseline_of_finding f = { b_rule = f.rule; b_file = f.file; b_symbol = f.symbol }
-
-let baseline_mem keys f =
-  let k = baseline_of_finding f in
-  List.exists
-    (fun b ->
-      String.equal b.b_rule k.b_rule
-      && String.equal b.b_file k.b_file
-      && String.equal b.b_symbol k.b_symbol)
-    keys
-
-let baseline_of_json doc =
-  let str k o = Option.bind (Obs.Json.member k o) Obs.Json.to_string_opt in
-  match Obs.Json.member "findings" doc with
-  | Some fs ->
-      Ok
-        (List.filter_map
-           (fun f ->
-             match (str "rule" f, str "file" f) with
-             | Some b_rule, Some b_file ->
-                 Some { b_rule; b_file; b_symbol = Option.value ~default:"" (str "symbol" f) }
-             | _ -> None)
-           (Obs.Json.to_list fs))
-  | None -> Error "baseline document has no \"findings\" member"
 
 let load_baseline path =
   match Obs.Json.of_string (read_file path) with
@@ -334,18 +337,11 @@ let load_baseline path =
    fixed (or the symbol renamed) and leaving it in place would excuse a
    future regression at the same key. *)
 let apply_baseline ~baseline findings =
-  let kept, suppressed = List.partition (fun f -> not (baseline_mem baseline f)) findings in
+  let covered f = List.exists (key_equal (baseline_of_finding f)) baseline in
+  let kept, suppressed = List.partition (fun f -> not (covered f)) findings in
   let stale =
     List.filter
-      (fun b ->
-        not
-          (List.exists
-             (fun f ->
-               let k = baseline_of_finding f in
-               String.equal b.b_rule k.b_rule
-               && String.equal b.b_file k.b_file
-               && String.equal b.b_symbol k.b_symbol)
-             findings))
+      (fun b -> not (List.exists (fun f -> key_equal b (baseline_of_finding f)) findings))
       baseline
   in
   (kept, List.length suppressed, stale)
@@ -353,57 +349,31 @@ let apply_baseline ~baseline findings =
 (* Rewrite the baseline document at [path] without its stale entries
    (--baseline-gc).  The document keeps its shape — only the "findings"
    array shrinks and "count" is refreshed — so the rewritten file stays
-   loadable by --baseline and by obs --load.  Returns the number of
-   entries dropped. *)
+   loadable by --baseline.  Returns the number of entries dropped. *)
 let gc_baseline_file path ~stale =
-  let key_of f =
-    let str k = Option.bind (Obs.Json.member k f) Obs.Json.to_string_opt in
-    match (str "rule", str "file") with
-    | Some b_rule, Some b_file ->
-        Some { b_rule; b_file; b_symbol = Option.value ~default:"" (str "symbol") }
-    | _ -> None
-  in
   let is_stale f =
-    match key_of f with
-    | Some k ->
-        List.exists
-          (fun b ->
-            String.equal b.b_rule k.b_rule
-            && String.equal b.b_file k.b_file
-            && String.equal b.b_symbol k.b_symbol)
-          stale
-    | None -> false
+    match key_of_json f with Some k -> List.exists (key_equal k) stale | None -> false
   in
   match Obs.Json.of_string (read_file path) with
   | Error e -> Error (Printf.sprintf "%s: %s" path e)
   | exception Sys_error e -> Error e
   | Ok (Obs.Json.Obj fields) ->
-      let dropped = ref 0 in
+      let dropped = ref 0 and kept_count = ref 0 in
       let fields =
         List.map
           (fun (k, v) ->
             match (k, v) with
             | "findings", Obs.Json.List fs ->
-                let kept =
-                  List.filter
-                    (fun f ->
-                      let s = is_stale f in
-                      if s then incr dropped;
-                      not s)
-                    fs
-                in
+                let kept = List.filter (fun f -> not (is_stale f)) fs in
+                dropped := List.length fs - List.length kept;
+                kept_count := List.length kept;
                 (k, Obs.Json.List kept)
             | _ -> (k, v))
           fields
       in
-      let kept_count =
-        match List.assoc_opt "findings" fields with
-        | Some (Obs.Json.List fs) -> List.length fs
-        | _ -> 0
-      in
       let fields =
         List.map
-          (fun (k, v) -> if String.equal k "count" then (k, Obs.Json.Int kept_count) else (k, v))
+          (fun (k, v) -> if String.equal k "count" then (k, Obs.Json.Int !kept_count) else (k, v))
           fields
       in
       let oc = open_out path in
@@ -418,74 +388,48 @@ let gc_baseline_file path ~stale =
 (* ---------------------------- reporters ------------------------------ *)
 
 let pp_finding fmt f =
-  Format.fprintf fmt "%s:%d:%d: [%s/%s] %s%s" f.file f.line f.col f.rule f.tier f.msg
-    (if String.equal f.symbol "" then "" else Printf.sprintf " (in %s)" f.symbol);
-  List.iter
-    (fun w -> Format.fprintf fmt "@.    %s:%d:%d: %s" w.w_file w.w_line w.w_col w.w_what)
-    f.witness
+  Format.fprintf fmt "%s:%d:%d: [%s] %s%s" f.file f.line f.col f.rule f.msg
+    (if String.equal f.symbol "" then "" else Printf.sprintf " (in %s)" f.symbol)
 
-let print_human fmt (files, findings) =
+let plural n word = Printf.sprintf "%d %s%s" n word (if n = 1 then "" else "s")
+
+let print_human fmt ~units findings =
   List.iter (fun f -> Format.fprintf fmt "%a@." pp_finding f) findings;
-  Format.fprintf fmt "coinlint: %d finding%s in %d file%s@."
-    (List.length findings)
-    (if List.length findings = 1 then "" else "s")
-    files
-    (if files = 1 then "" else "s")
+  Format.fprintf fmt "coinlint: %s in %s@."
+    (plural (List.length findings) "finding")
+    (plural units "unit")
 
-let schema = "coincidence.lint/3"
-
-let json_witness_step w =
-  Obs.Json.Obj
-    [
-      ("what", Obs.Json.Str w.w_what);
-      ("file", Obs.Json.Str w.w_file);
-      ("line", Obs.Json.Int w.w_line);
-      ("col", Obs.Json.Int w.w_col);
-    ]
+let schema = "coincidence.lint/4"
 
 let json_finding f =
   Obs.Json.Obj
-    ([
-       ("file", Obs.Json.Str f.file);
-       ("line", Obs.Json.Int f.line);
-       ("col", Obs.Json.Int f.col);
-       ("rule", Obs.Json.Str f.rule);
-       ("tier", Obs.Json.Str f.tier);
-       ("symbol", Obs.Json.Str f.symbol);
-       ("msg", Obs.Json.Str f.msg);
-     ]
-    @ if f.witness = [] then [] else [ ("witness", Obs.Json.List (List.map json_witness_step f.witness)) ])
+    [
+      ("file", Obs.Json.Str f.file);
+      ("line", Obs.Json.Int f.line);
+      ("col", Obs.Json.Int f.col);
+      ("rule", Obs.Json.Str f.rule);
+      ("symbol", Obs.Json.Str f.symbol);
+      ("msg", Obs.Json.Str f.msg);
+    ]
 
-(* [rules] pairs each registry entry with its tier so a v3 report is
-   self-describing about what ran; [semantic_units] counts the typedtree
-   compilation units the semantic and race tiers actually loaded (0 when
-   those tiers were skipped), [baseline_suppressed] how many findings
+(* [rules] names the registry entries that ran; [units] counts the
+   compilation units walked, [baseline_suppressed] how many findings
    --baseline removed before [findings], and [stale_baseline] the
    baseline entries that matched nothing. *)
-let json_report ~rules ~files_scanned ~semantic_units ~baseline_suppressed
-    ?(stale_baseline = []) findings =
+let json_report ~rules ~units ~baseline_suppressed ?(stale_baseline = []) findings =
+  let str s = Obs.Json.Str s in
   Obs.Json.Obj
     [
-      ("schema", Obs.Json.Str schema);
-      ( "rules",
-        Obs.Json.List
-          (List.map
-             (fun (name, tier) ->
-               Obs.Json.Obj [ ("name", Obs.Json.Str name); ("tier", Obs.Json.Str tier) ])
-             rules) );
-      ("files_scanned", Obs.Json.Int files_scanned);
-      ("semantic_units", Obs.Json.Int semantic_units);
+      ("schema", str schema);
+      ("rules", Obs.Json.List (List.map str rules));
+      ("units", Obs.Json.Int units);
       ("baseline_suppressed", Obs.Json.Int baseline_suppressed);
       ( "stale_baseline",
         Obs.Json.List
           (List.map
              (fun b ->
                Obs.Json.Obj
-                 [
-                   ("rule", Obs.Json.Str b.b_rule);
-                   ("file", Obs.Json.Str b.b_file);
-                   ("symbol", Obs.Json.Str b.b_symbol);
-                 ])
+                 [ ("rule", str b.b_rule); ("file", str b.b_file); ("symbol", str b.b_symbol) ])
              stale_baseline) );
       ("count", Obs.Json.Int (List.length findings));
       ("findings", Obs.Json.List (List.map json_finding findings));

@@ -2,8 +2,6 @@
 
    Usage:
      dune exec tools/lint/main.exe -- [options] [dir-or-file ...]
-       --tier T        which analysis tiers run:
-                       syntactic|semantic|race|quorum|all (default: all)
        --json PATH     also write the findings document (PATH "-" = stdout)
        --baseline P    suppress findings present in a previously saved
                        coincidence.lint report (keyed by rule/file/symbol)
@@ -13,44 +11,33 @@
        --baseline-gc   rewrite the --baseline file in place, dropping its
                        stale entries (implies that staleness alone does
                        not fail the run)
-       --only NAMES    comma-separated subset of rules (default: all);
-                       names are looked up in every tier's registry;
-                       --rules is an alias
-       --summaries P   race-tier summary cache location
-                       (default: _build/lint-summaries.bin)
-       --list-rules    print the registries and exit (takes no other args)
+       --only NAMES    comma-separated subset of rules (default: all)
+       --list-rules    print the registry and exit (takes no other args)
        --root DIR      chdir to DIR before scanning
      default scan set: lib bin bench
 
-   The semantic and race tiers need .cmt files: they reuse _build/default
-   when present (or the cwd under dune, where rule deps guarantee them)
-   and otherwise drive `dune build @check` once themselves.
+   coinlint reads the .cmt files of `dune build @check`: it reuses
+   _build/default when present (or the cwd under dune, where rule deps
+   guarantee them) and otherwise drives `dune build @check` once itself.
 
    Exit status: 0 clean, 1 findings (or stale baseline under
    --baseline-strict), 2 usage/IO error. *)
 
-let usage_line =
-  "usage: coinlint [--tier syntactic|semantic|race|quorum|all] [--json PATH] [--baseline PATH] \
-   [--baseline-strict] [--baseline-gc] [--only r1,r2] [--summaries PATH] [--list-rules] [--root \
-   DIR] [paths...]"
-
 let usage () =
-  prerr_endline usage_line;
+  prerr_endline
+    "usage: coinlint [--json PATH] [--baseline PATH] [--baseline-strict] [--baseline-gc] [--only \
+     r1,r2] [--list-rules] [--root DIR] [paths...]";
   exit 2
 
 let fail fmt = Format.kasprintf (fun s -> prerr_endline ("coinlint: " ^ s); exit 2) fmt
 
-type tier = Syntactic | Semantic | Race | Quorum | All
-
 let () =
   let json_out = ref None in
   let root = ref None in
-  let rule_names = ref None in
+  let only = ref None in
   let baseline_path = ref None in
   let baseline_strict = ref false in
   let baseline_gc = ref false in
-  let summaries_path = ref (Filename.concat "_build" "lint-summaries.bin") in
-  let tier = ref All in
   let list_rules = ref false in
   let paths = ref [] in
   let rec parse = function
@@ -61,8 +48,8 @@ let () =
     | "--root" :: d :: rest ->
         root := Some d;
         parse rest
-    | ("--only" | "--rules") :: names :: rest ->
-        rule_names := Some (String.split_on_char ',' names);
+    | "--only" :: names :: rest ->
+        only := Some (String.split_on_char ',' names);
         parse rest
     | "--baseline" :: p :: rest ->
         baseline_path := Some p;
@@ -73,26 +60,10 @@ let () =
     | "--baseline-gc" :: rest ->
         baseline_gc := true;
         parse rest
-    | "--summaries" :: p :: rest ->
-        summaries_path := p;
-        parse rest
-    | "--tier" :: t :: rest ->
-        (tier :=
-           match t with
-           | "syntactic" -> Syntactic
-           | "semantic" -> Semantic
-           | "race" -> Race
-           | "quorum" -> Quorum
-           | "all" -> All
-           | other ->
-               fail "unknown tier %S (expected syntactic, semantic, race, quorum or all)" other);
-        parse rest
     | "--list-rules" :: rest ->
         list_rules := true;
         parse rest
-    | ("--json" | "--root" | "--only" | "--rules" | "--baseline" | "--tier" | "--summaries") :: []
-      ->
-        usage ()
+    | ("--json" | "--root" | "--only" | "--baseline") :: [] -> usage ()
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' ->
         Format.eprintf "coinlint: unknown option %s@." arg;
         usage ()
@@ -109,66 +80,26 @@ let () =
       usage ()
     end;
     List.iter
-      (fun r ->
-        Format.printf "%-24s [syntactic] %s@." r.Coinlint.Engine.name r.Coinlint.Engine.summary)
-      Coinlint.Rules.all;
-    List.iter
-      (fun (r : Coinlint.Sem_rules.rule) -> Format.printf "%-24s [semantic]  %s@." r.name r.summary)
-      Coinlint.Sem_rules.all;
-    List.iter
-      (fun (r : Coinlint.Race_rules.rule) ->
-        Format.printf "%-24s [race]      %s@." r.name r.summary)
-      Coinlint.Race_rules.all;
-    List.iter
-      (fun (r : Coinlint.Quorum_rules.rule) ->
-        Format.printf "%-24s [quorum]    %s@." r.name r.summary)
-      Coinlint.Quorum_rules.all;
+      (fun (r : Coinlint.Engine.rule) -> Format.printf "%-24s %s@." r.name r.summary)
+      Coinlint.Registry.all;
     exit 0
   end;
   (match !root with Some d -> (try Sys.chdir d with Sys_error e -> fail "%s" e) | None -> ());
-  let want_syn = !tier = Syntactic || !tier = All in
-  let want_sem = !tier = Semantic || !tier = All in
-  let want_race = !tier = Race || !tier = All in
-  let want_quorum = !tier = Quorum || !tier = All in
-  (* One name may exist in several registries (the alias-evasion upgrades
-     share their syntactic rule's name); --only selects every tier's
-     homonym that the --tier filter keeps.  An unknown name is a hard
-     usage error: a typo that silently selected nothing would report
-     "clean" for the wrong reason. *)
-  let syn_rules, sem_rules, race_rules, quorum_rules =
-    match !rule_names with
-    | None ->
-        ( (if want_syn then Coinlint.Rules.all else []),
-          (if want_sem then Coinlint.Sem_rules.all else []),
-          (if want_race then Coinlint.Race_rules.all else []),
-          if want_quorum then Coinlint.Quorum_rules.all else [] )
+  (* An unknown name is a hard usage error: a typo that silently selected
+     nothing would report "clean" for the wrong reason. *)
+  let rules =
+    match !only with
+    | None -> Coinlint.Registry.all
     | Some names ->
-        let syn = ref [] and sem = ref [] and race = ref [] and quorum = ref [] in
-        List.iter
+        List.map
           (fun n ->
-            let in_syn = Coinlint.Rules.find n
-            and in_sem = Coinlint.Sem_rules.find n
-            and in_race = Coinlint.Race_rules.find n
-            and in_quorum = Coinlint.Quorum_rules.find n in
-            if in_syn = None && in_sem = None && in_race = None && in_quorum = None then
-              fail "unknown rule %S; valid names: %s" n
-                (String.concat ", "
-                   (List.map (fun r -> r.Coinlint.Engine.name) Coinlint.Rules.all
-                   @ List.map (fun (r : Coinlint.Sem_rules.rule) -> r.name) Coinlint.Sem_rules.all
-                   @ List.map
-                       (fun (r : Coinlint.Race_rules.rule) -> r.name)
-                       Coinlint.Race_rules.all
-                   @ List.map
-                       (fun (r : Coinlint.Quorum_rules.rule) -> r.name)
-                       Coinlint.Quorum_rules.all));
-            (match in_syn with Some r when want_syn -> syn := r :: !syn | _ -> ());
-            (match in_sem with Some r when want_sem -> sem := r :: !sem | _ -> ());
-            (match in_race with Some r when want_race -> race := r :: !race | _ -> ());
-            match in_quorum with
-            | Some r when want_quorum -> quorum := r :: !quorum
-            | _ -> ())
-          names;
-        (List.rev !syn, List.rev !sem, List.rev !race, List.rev !quorum)
+            match Coinlint.Registry.find n with
+            | Some r -> r
+            | None ->
+                fail "unknown rule %S; valid names: %s" n
+                  (String.concat ", "
+                     (List.map (fun (r : Coinlint.Engine.rule) -> r.name) Coinlint.Registry.all)))
+          names
   in
   let baseline =
     match !baseline_path with
@@ -180,68 +111,28 @@ let () =
   in
   let roots = match !paths with [] -> [ "lib"; "bin"; "bench" ] | ps -> List.rev ps in
   List.iter (fun p -> if not (Sys.file_exists p) then fail "no such path %s" p) roots;
-  let files_scanned, syn_findings =
-    if want_syn then Coinlint.Engine.lint_paths ~rules:syn_rules roots else (0, [])
-  in
-  let want_units = want_sem || want_race || want_quorum in
-  let units = if want_units then Coinlint.Cmt_loader.load roots else [] in
-  if want_units && units = [] then
-    fail
-      "semantic/race/quorum tiers found no .cmt files under %s: run `dune build @check` first \
-       (or use --tier syntactic)"
-      (String.concat " " roots);
-  let sem_findings =
-    if want_sem then Coinlint.Sem_rules.lint_units ~rules:sem_rules units else []
-  in
-  let race_findings =
-    if want_race then
-      Coinlint.Race_rules.lint_units ~rules:race_rules ~cache_file:!summaries_path units
-    else []
-  in
-  let quorum_findings =
-    if want_quorum then Coinlint.Quorum_rules.lint_units ~rules:quorum_rules units else []
-  in
-  (* Same-site dedup across tiers: syntactic wins over semantic wins over
-     race, so an upgraded rule never double-reports one site. *)
-  let merged =
-    Coinlint.Engine.merge_findings
-      (Coinlint.Engine.merge_findings
-         (Coinlint.Engine.merge_findings syn_findings sem_findings)
-         quorum_findings)
-      race_findings
-  in
+  let units = Coinlint.Cmt_loader.load roots in
+  if units = [] then
+    fail "found no .cmt files under %s: run `dune build @check` first" (String.concat " " roots);
   let findings, baseline_suppressed, stale_baseline =
-    Coinlint.Engine.apply_baseline ~baseline merged
+    Coinlint.Engine.apply_baseline ~baseline (Coinlint.Engine.lint_units ~rules units)
   in
   (* With --json -, stdout is the machine report; keep the human one on
      stderr so the two never interleave. *)
   let human_fmt =
-    match !json_out with
-    | Some "-" -> Format.err_formatter
-    | Some _ | None -> Format.std_formatter
+    match !json_out with Some "-" -> Format.err_formatter | Some _ | None -> Format.std_formatter
   in
-  Coinlint.Engine.print_human human_fmt (files_scanned + List.length units, findings);
+  Coinlint.Engine.print_human human_fmt ~units:(List.length units) findings;
   List.iter
     (fun (b : Coinlint.Engine.baseline_key) ->
-      Format.fprintf human_fmt "note: [stale-baseline] %s at %s%s matches no finding@."
-        b.b_rule b.b_file
+      Format.fprintf human_fmt "note: [stale-baseline] %s at %s%s matches no finding@." b.b_rule
+        b.b_file
         (if String.equal b.b_symbol "" then "" else Printf.sprintf " (in %s)" b.b_symbol))
     stale_baseline;
   let report () =
-    let rules =
-      List.map (fun r -> (r.Coinlint.Engine.name, Coinlint.Engine.tier_syntactic)) syn_rules
-      @ List.map
-          (fun (r : Coinlint.Sem_rules.rule) -> (r.name, Coinlint.Engine.tier_semantic))
-          sem_rules
-      @ List.map
-          (fun (r : Coinlint.Race_rules.rule) -> (r.name, Coinlint.Engine.tier_race))
-          race_rules
-      @ List.map
-          (fun (r : Coinlint.Quorum_rules.rule) -> (r.name, Coinlint.Engine.tier_quorum))
-          quorum_rules
-    in
-    Coinlint.Engine.json_report ~rules ~files_scanned ~semantic_units:(List.length units)
-      ~baseline_suppressed ~stale_baseline findings
+    Coinlint.Engine.json_report
+      ~rules:(List.map (fun (r : Coinlint.Engine.rule) -> r.name) rules)
+      ~units:(List.length units) ~baseline_suppressed ~stale_baseline findings
   in
   (match !json_out with
   | Some "-" -> print_endline (Obs.Json.to_string (report ()))

@@ -1,5 +1,5 @@
-(* Deep mutability classification of a [Types.type_expr] — the type-level
-   half of coinlint's race tier.
+(* Deep mutability classification of a [Types.type_expr], for coinlint's
+   domain-escape and global-mutable-reach rules.
 
    A value may cross an Exec domain boundary only if no mutation of it is
    reachable from the other side.  The classifier answers "could a value
@@ -14,12 +14,10 @@
                     such);
      - [Unknown]  : cannot tell (type variables, abstract types whose
                     declaration is outside the scanned units, arrows —
-                    a closure's captures are invisible in its type; the
-                    escape analysis in summaries.ml inspects closure
-                    *definitions* instead).
+                    a closure's captures are invisible in its type).
 
-   Only [Mut] triggers findings: the race tier under-approximates on
-   [Unknown] rather than drowning a clean tree in maybes.
+   Only [Mut] triggers findings: the rules under-approximate on [Unknown]
+   rather than drowning a clean tree in maybes.
 
    Named types resolve through a declaration table collected from every
    scanned unit's Typedtree ([Tstr_type] items, keyed by the module path
@@ -47,64 +45,46 @@ let join_all = List.fold_left join Imm
 (* ------------------------ declaration table -------------------------- *)
 
 type decl_state = Unresolved of Types.type_declaration | Resolving | Resolved of verdict
+type table = (string list, decl_state ref) Hashtbl.t
 
-type table = {
-  decls : (string list, decl_state ref) Hashtbl.t;
-  (* shallow structural digest input, accumulated at add_decl time *)
-  mutable shape_acc : string list;
-}
+let rec mod_structure (m : Typedtree.module_expr) =
+  match m.mod_desc with
+  | Tmod_structure s -> Some s
+  | Tmod_constraint (m, _, _, _) -> mod_structure m
+  | _ -> None
 
-let create_table () = { decls = Hashtbl.create 256; shape_acc = [] }
-
-let flag_str = function Asttypes.Mutable -> "mutable" | Asttypes.Immutable -> "immutable"
-
-(* One line per declaration describing everything classification can
-   depend on shallowly: kind, field names and mutability flags,
-   constructor names and arities.  Digested into the summary-cache
-   fingerprint so editing any type declaration anywhere invalidates the
-   whole summary cache — coarse, but sound even when dune did not
-   recompile dependents (an implementation-only change to an abstract
-   type's definition rebuilds no downstream .cmt). *)
-let decl_shape key (d : Types.type_declaration) =
-  let b = Buffer.create 64 in
-  Buffer.add_string b (String.concat "." key);
-  Buffer.add_char b ':';
-  (match d.type_kind with
-  | Type_record (lds, _) ->
-      Buffer.add_string b "record";
-      List.iter
-        (fun (ld : Types.label_declaration) ->
-          Buffer.add_string b
-            (Printf.sprintf ";%s=%s" (Ident.name ld.ld_id) (flag_str ld.ld_mutable)))
-        lds
-  | Type_variant (cds, _) ->
-      Buffer.add_string b "variant";
-      List.iter
-        (fun (cd : Types.constructor_declaration) ->
-          let arity =
-            match cd.cd_args with
-            | Cstr_tuple tys -> List.length tys
-            | Cstr_record lds -> List.length lds
-          in
-          Buffer.add_string b (Printf.sprintf ";%s/%d" (Ident.name cd.cd_id) arity))
-        cds
-  | Type_abstract -> Buffer.add_string b "abstract"
-  | Type_open -> Buffer.add_string b "open");
-  if d.type_manifest <> None then Buffer.add_string b ";manifest";
-  Buffer.contents b
-
-let add_decl table ~key (d : Types.type_declaration) =
-  if not (Hashtbl.mem table.decls key) then begin
-    Hashtbl.replace table.decls key (ref (Unresolved d));
-    table.shape_acc <- decl_shape key d :: table.shape_acc
-  end
-
-let fingerprint table = Digest.to_hex (Digest.string (String.concat "\n" (List.sort String.compare table.shape_acc)))
+(* Every type declared in [units] ((modname, structure) pairs), nested
+   modules included, keyed by its full module path. *)
+let table units : table =
+  let decls = Hashtbl.create 256 in
+  let rec collect path (str : Typedtree.structure) =
+    let sub (mb : Typedtree.module_binding) =
+      match (mb.mb_id, mod_structure mb.mb_expr) with
+      | Some id, Some s -> collect (path @ [ Ident.name id ]) s
+      | _ -> ()
+    in
+    List.iter
+      (fun (item : Typedtree.structure_item) ->
+        match item.str_desc with
+        | Tstr_type (_, ds) ->
+            List.iter
+              (fun (d : Typedtree.type_declaration) ->
+                let key = path @ [ d.typ_name.txt ] in
+                if not (Hashtbl.mem decls key) then
+                  Hashtbl.replace decls key (ref (Unresolved d.typ_type)))
+              ds
+        | Tstr_module mb -> sub mb
+        | Tstr_recmodule mbs -> List.iter sub mbs
+        | _ -> ())
+      str.str_items
+  in
+  List.iter (fun (modname, str) -> collect [ modname ] str) units;
+  decls
 
 (* ------------------------- builtin constructors ----------------------- *)
 
 (* Heads whose values are mutable whatever the arguments.  Matched on the
-   *suffix* of the normalized path, same convention as sem_rules, so
+   *suffix* of the normalized path, same convention as the rules, so
    `Stdlib.Hashtbl.t`, a re-exported `Foo.Hashtbl.t` and an aliased
    `module H = Hashtbl` all hit. *)
 let mutable_heads =
@@ -159,8 +139,8 @@ let ends_with ~suffix path =
    Sharded; t] through the library interface, or the shorter [Keyring;
    t] through an open).  An ambiguous suffix match with disagreeing
    verdicts yields [Unknown] — never a spurious [Mut]. *)
-let find_decl table ~modname path =
-  let exact k = Hashtbl.find_opt table.decls k in
+let find_decl (table : table) ~modname path =
+  let exact k = Hashtbl.find_opt table k in
   match exact (modname :: path) with
   | Some s -> [ s ]
   | None -> (
@@ -170,9 +150,7 @@ let find_decl table ~modname path =
           Hashtbl.fold
             (fun k s acc ->
               if ends_with ~suffix:path k || ends_with ~suffix:k path then s :: acc else acc)
-            table.decls [])
-
-let describe ty = try Format.asprintf "%a" Printtyp.type_expr ty with _ -> "<type>"
+            table [])
 
 let classify table ~normalize ~modname ty0 =
   (* Per-call memo keyed by the type node id; node ids are only stable

@@ -1,15 +1,14 @@
-(* coinlint's quorum tier: threshold comparisons checked against the
+(* coinlint's quorum rules: threshold comparisons checked against the
    declared guard table (quorum_spec.ml).
 
-   The pass walks the Typedtree of each module the spec covers and
-   normalizes every integer comparison whose one side is arithmetic over
-   the protocol parameters — record fields n/f/w, reached directly
+   In each module the spec covers, every integer comparison whose one
+   side is arithmetic over the protocol parameters is normalized —
+   record fields n/f/w, reached directly
    (t.n), through nested records (t.params.Params.w) or through local
    helper functions whose body is such arithmetic (quorum t,
-   echo_threshold t, w t).  Helpers are resolved the same way the
-   semantic tier resolves module aliases: by definition, not by
-   spelling, so renaming `quorum` or routing it through an alias module
-   changes nothing.
+   echo_threshold t, w t).  Helpers are resolved the way module aliases
+   are: by definition, not by spelling, so renaming `quorum` or routing
+   it through an alias module changes nothing.
 
    Each normalized comparison must be one of the module's declared
    guards:
@@ -24,82 +23,10 @@
    parameter-vs-parameter comparisons (none exist in the covered
    modules; if one appears the repo scan stays honest because its tally
    side would normalize and fail the lookup).  Modules without a spec
-   entry are skipped entirely — the tier is a contract check for the
+   entry are skipped entirely — the rules are a contract check for the
    protocol layer, not a general arithmetic lint. *)
 
-type rule = { name : string; summary : string }
-
-let guard_rule = "quorum-guard"
-let coverage_rule = "quorum-coverage"
-
-let all =
-  [
-    {
-      name = guard_rule;
-      summary =
-        "every threshold comparison in the protocol modules must match a guard declared in \
-         quorum_spec.ml exactly; off-by-one or undeclared comparisons fail";
-    };
-    {
-      name = coverage_rule;
-      summary =
-        "every declared quorum guard must appear at exactly its declared number of sites: \
-         fewer means a wait/decide guard was dropped, more means one was duplicated";
-    };
-  ]
-
-let find name = List.find_opt (fun r -> String.equal r.name name) all
-
-(* ------------------------------ context ------------------------------- *)
-
-type qctx = {
-  rel : string;
-  spec : Quorum_spec.module_spec;
-  aliases : (string, string list) Hashtbl.t;
-  derived : (string, Quorum_spec.nf) Hashtbl.t;
-      (* local helper name -> the form its body computes; [nf]'s coeff
-         and rel are unused here, only base/off carry the value *)
-  mutable allows : string list list;
-  mutable sym : string;
-  mutable out : Engine.finding list;
-  counts : int array;                     (* matched sites per spec guard *)
-  firsts : Location.t option array;       (* first matched site per guard *)
-}
-
-let add ctx ~rule ~(loc : Location.t) msg =
-  if not (Engine.allowed_in ctx.allows rule) then begin
-    let p = loc.Location.loc_start in
-    ctx.out <-
-      {
-        Engine.file = ctx.rel;
-        line = p.Lexing.pos_lnum;
-        col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-        rule;
-        msg;
-        tier = Engine.tier_quorum;
-        symbol = ctx.sym;
-        witness = [];
-      }
-      :: ctx.out
-  end
-
-(* ------------------------ path normalization -------------------------- *)
-
-let rec raw_path ctx (p : Path.t) =
-  match p with
-  | Path.Pident id -> (
-      match Hashtbl.find_opt ctx.aliases (Ident.unique_name id) with
-      | Some path -> path
-      | None -> ( match Cmt_loader.demangle (Ident.name id) with Some s -> [ s ] | None -> [] ))
-  | Path.Pdot (p, s) -> raw_path ctx p @ [ s ]
-  | Path.Papply (p, _) -> raw_path ctx p
-  | Path.Pextra_ty (p, _) -> raw_path ctx p
-
-let normalize ctx p =
-  match raw_path ctx p with "Stdlib" :: rest -> rest | path -> path
-
-let ident_path ctx (e : Typedtree.expression) =
-  match e.exp_desc with Texp_ident (p, _, _) -> Some (normalize ctx p) | _ -> None
+open Engine
 
 (* --------------------------- form parsing ----------------------------- *)
 
@@ -150,7 +77,7 @@ let p_div a b =
 
 let binops = [ ("+", p_add); ("-", p_sub); ("*", p_mul); ("/", p_div) ]
 
-let rec parse_form ctx (e : Typedtree.expression) =
+let rec parse_form ctx derived (e : Typedtree.expression) =
   match e.exp_desc with
   | Texp_constant (Const_int c) -> Some (const c)
   | Texp_field (_, _, lbl) -> (
@@ -162,11 +89,11 @@ let rec parse_form ctx (e : Typedtree.expression) =
   | Texp_apply (f, args) -> (
       match (ident_path ctx f, args) with
       | Some [ op ], [ (_, Some a); (_, Some b) ] when List.mem_assoc op binops -> (
-          match (parse_form ctx a, parse_form ctx b) with
+          match (parse_form ctx derived a, parse_form ctx derived b) with
           | Some pa, Some pb -> (List.assoc op binops) pa pb
           | _ -> None)
-      | Some [ "~-" ], [ (_, Some a) ] -> Option.bind (parse_form ctx a) p_neg
-      | Some [ name ], _ -> Hashtbl.find_opt ctx.derived name |> Option.map nf_poly
+      | Some [ "~-" ], [ (_, Some a) ] -> Option.bind (parse_form ctx derived a) p_neg
+      | Some [ name ], _ -> Hashtbl.find_opt derived name |> Option.map nf_poly
       | _ -> None)
   | _ -> None
 
@@ -194,10 +121,11 @@ let nf_of ~coeff ~rel ~extra poly : Quorum_spec.nf =
 let cmp_ops = [ ">="; ">"; "<"; "<=" ]
 
 (* Tally-side coefficient: `2 * cnt` (either operand order). *)
-let tally_coeff ctx (e : Typedtree.expression) =
+let tally_coeff ctx derived (e : Typedtree.expression) =
+  let const_of e = Option.bind (parse_form ctx derived e) as_const in
   match e.exp_desc with
   | Texp_apply (f, [ (_, Some a); (_, Some b) ]) when ident_path ctx f = Some [ "*" ] -> (
-      match (Option.bind (parse_form ctx a) as_const, Option.bind (parse_form ctx b) as_const) with
+      match (const_of a, const_of b) with
       | Some k, _ when k > 0 -> k
       | _, Some k when k > 0 -> k
       | _ -> 1)
@@ -214,47 +142,28 @@ let canon_rel ~mirrored op =
   | "<=", false | ">=", true -> (Quorum_spec.Lt, 1)
   | _ -> assert false
 
-let site ctx ~loc nf =
-  let spec = ctx.spec.Quorum_spec.m_guards in
-  match List.find_index (fun g -> Quorum_spec.nf_equal g.Quorum_spec.g_nf nf) spec with
-  | Some i ->
-      ctx.counts.(i) <- ctx.counts.(i) + 1;
-      if Option.is_none ctx.firsts.(i) then ctx.firsts.(i) <- Some loc
-  | None -> (
-      match List.find_opt (fun g -> Quorum_spec.nf_off_by_one ~spec:g.Quorum_spec.g_nf nf) spec with
-      | Some g ->
-          add ctx ~rule:guard_rule ~loc
-            (Format.asprintf
-               "threshold %a is one off the declared guard %a: a weakened or strengthened \
-                quorum constant breaks the protocol's intersection argument"
-               Quorum_spec.pp_nf nf Quorum_spec.pp_guard g)
-      | None ->
-          add ctx ~rule:guard_rule ~loc
-            (Format.asprintf
-               "undeclared threshold %a: every comparison against n/f/w arithmetic in %s must \
-                match a guard declared in tools/lint/quorum_spec.ml"
-               Quorum_spec.pp_nf nf ctx.spec.Quorum_spec.m_module))
-
-let on_compare ctx ~loc op lhs rhs =
-  let fl = parse_form ctx lhs and fr = parse_form ctx rhs in
-  let form_l = match fl with Some p when has_atoms p -> Some p | _ -> None in
-  let form_r = match fr with Some p when has_atoms p -> Some p | _ -> None in
-  match (form_l, form_r) with
-  | None, Some p ->
-      let rel, extra = canon_rel ~mirrored:false op in
-      site ctx ~loc (nf_of ~coeff:(tally_coeff ctx lhs) ~rel ~extra p)
-  | Some p, None ->
-      let rel, extra = canon_rel ~mirrored:true op in
-      site ctx ~loc (nf_of ~coeff:(tally_coeff ctx rhs) ~rel ~extra p)
-  | _ -> ()
+(* The normal form of a threshold comparison: one side parameter
+   arithmetic, the other a tally.  [None] for anything else. *)
+let compare_site ctx derived (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_apply (f, [ (_, Some lhs); (_, Some rhs) ]) -> (
+      match ident_path ctx f with
+      | Some [ op ] when List.mem op cmp_ops -> (
+          let form x =
+            match parse_form ctx derived x with Some p when has_atoms p -> Some p | _ -> None
+          in
+          match (form lhs, form rhs) with
+          | None, Some p ->
+              let rel, extra = canon_rel ~mirrored:false op in
+              Some (nf_of ~coeff:(tally_coeff ctx derived lhs) ~rel ~extra p)
+          | Some p, None ->
+              let rel, extra = canon_rel ~mirrored:true op in
+              Some (nf_of ~coeff:(tally_coeff ctx derived rhs) ~rel ~extra p)
+          | _ -> None)
+      | Some _ | None -> None)
+  | _ -> None
 
 (* ------------------------ derived registration ------------------------ *)
-
-let rec vb_name (p : Typedtree.pattern) =
-  match p.pat_desc with
-  | Tpat_var (_, { txt; _ }) -> Some txt
-  | Tpat_alias (p, _, _) -> vb_name p
-  | _ -> None
 
 (* `let helper t = <parameter arithmetic>` registers helper as an atom;
    multi-parameter and non-arithmetic bodies are simply not forms. *)
@@ -264,148 +173,118 @@ let rec fun_body (e : Typedtree.expression) =
       match fun_body c_rhs with Some b -> Some b | None -> Some c_rhs)
   | _ -> None
 
-let register_derived ctx (vb : Typedtree.value_binding) =
-  match (vb_name vb.vb_pat, fun_body vb.vb_expr) with
-  | Some name, Some body -> (
-      match parse_form ctx body with
-      | Some p -> Hashtbl.replace ctx.derived name (nf_of ~coeff:1 ~rel:Quorum_spec.Ge ~extra:0 p)
-      | None -> ())
-  | _ -> ()
-
-(* ------------------------------- walk --------------------------------- *)
-
-let walk ctx str0 =
-  let super = Tast_iterator.default_iterator in
-  let with_frames frames f =
-    if frames = [] then f ()
-    else begin
-      let saved = ctx.allows in
-      ctx.allows <- frames @ ctx.allows;
-      f ();
-      ctx.allows <- saved
-    end
-  in
-  let frames_of attrs = List.filter_map Engine.allow_payload attrs in
-  let record_alias id (mexpr : Typedtree.module_expr) =
-    let rec alias_path (m : Typedtree.module_expr) =
-      match m.mod_desc with
-      | Tmod_ident (p, _) -> Some p
-      | Tmod_constraint (m, _, _, _) -> alias_path m
-      | _ -> None
-    in
-    match (id, alias_path mexpr) with
-    | Some id, Some p -> Hashtbl.replace ctx.aliases (Ident.unique_name id) (normalize ctx p)
-    | _ -> ()
-  in
-  let expr it (e : Typedtree.expression) =
-    with_frames (frames_of e.exp_attributes) (fun () ->
-        (match e.exp_desc with
-        | Texp_letmodule (id, _, _, mexpr, _) -> record_alias id mexpr
-        | Texp_apply (f, [ (_, Some a); (_, Some b) ]) -> (
-            match ident_path ctx f with
-            | Some [ op ] when List.mem op cmp_ops -> on_compare ctx ~loc:e.exp_loc op a b
-            | _ -> ())
-        | _ -> ());
-        super.expr it e)
-  in
-  let value_binding it (vb : Typedtree.value_binding) =
-    with_frames (frames_of vb.vb_attributes) (fun () -> super.value_binding it vb)
-  in
-  let structure_item (it : Tast_iterator.iterator) (si : Typedtree.structure_item) =
-    (match si.str_desc with
-    | Tstr_module mb -> record_alias mb.mb_id mb.mb_expr
-    | _ -> ());
-    match si.str_desc with
-    | Tstr_value (_, vbs) ->
-        List.iter
-          (fun (vb : Typedtree.value_binding) ->
-            register_derived ctx vb;
-            let saved = ctx.sym in
-            (match vb_name vb.vb_pat with Some n -> ctx.sym <- n | None -> ());
-            it.value_binding it vb;
-            ctx.sym <- saved)
-          vbs
-    | _ -> super.structure_item it si
-  in
-  let structure (it : Tast_iterator.iterator) (str : Typedtree.structure) =
-    let saved = ctx.allows in
-    List.iter
-      (fun (item : Typedtree.structure_item) ->
-        (match item.str_desc with
-        | Tstr_attribute a -> (
-            match Engine.allow_payload a with
-            | Some frame -> ctx.allows <- frame :: ctx.allows
-            | None -> ())
-        | _ -> ());
-        it.structure_item it item)
-      str.str_items;
-    ctx.allows <- saved
-  in
-  let it = { super with expr; value_binding; structure_item; structure } in
-  it.structure it str0
-
-(* ------------------------------ driving ------------------------------- *)
-
-let lint_unit ~rules (u : Cmt_loader.unit_) =
-  match Quorum_spec.spec_for u.Cmt_loader.modname with
-  | None -> []
+(* Both rules see every comparison of a covered module: [rule_hooks spec]
+   returns the rule's [on_site ~loc nf guard] — [guard] is the index of
+   the spec entry [nf] matches, if any — and its [on_done]. *)
+let make_quorum ctx rule_hooks =
+  match Quorum_spec.spec_for ctx.modname with
+  | None -> no_hooks
   | Some spec ->
-      let guards = spec.Quorum_spec.m_guards in
-      let ctx =
-        {
-          rel = u.rel;
-          spec;
-          aliases = Hashtbl.create 16;
-          derived = Hashtbl.create 8;
-          allows = [];
-          sym = "";
-          out = [];
-          counts = Array.make (List.length guards) 0;
-          firsts = Array.make (List.length guards) None;
-        }
+      let on_site, on_done = rule_hooks spec in
+      let derived = Hashtbl.create 8 in
+      let on_item (si : Typedtree.structure_item) =
+        match si.str_desc with
+        | Tstr_value (_, vbs) ->
+            List.iter
+              (fun (vb : Typedtree.value_binding) ->
+                match (vb_name vb.vb_pat, fun_body vb.vb_expr) with
+                | Some name, Some body ->
+                    Option.iter
+                      (fun p ->
+                        Hashtbl.replace derived name
+                          (nf_of ~coeff:1 ~rel:Quorum_spec.Ge ~extra:0 p))
+                      (parse_form ctx derived body)
+                | _ -> ())
+              vbs
+        | _ -> ()
       in
-      walk ctx u.structure;
-      (* Coverage runs after the walk: the allow frames are gone, so
-         these findings are baseline-suppressible but not [@lint.allow]-
-         scopable — a missing guard has no site to hang an attribute on
-         anyway. *)
-      ctx.sym <- "";
-      List.iteri
-        (fun i g ->
-          let want = g.Quorum_spec.g_sites and got = ctx.counts.(i) in
-          if got <> want then
-            add ctx ~rule:coverage_rule
-              ~loc:(Option.value ctx.firsts.(i) ~default:Location.none)
-              (Format.asprintf "guard %a: expected %d site%s, found %d — %s" Quorum_spec.pp_guard
-                 g want
-                 (if want = 1 then "" else "s")
-                 got
-                 (if got < want then "a wait/decide threshold was dropped or weakened past \
-                                      recognition"
-                  else "a threshold was duplicated")))
-        guards;
-      List.filter
-        (fun (f : Engine.finding) -> List.exists (fun r -> String.equal r.name f.rule) rules)
-        (List.sort Engine.compare_findings ctx.out)
+      let on_expr (e : Typedtree.expression) =
+        Option.iter
+          (fun nf ->
+            on_site ~loc:e.exp_loc nf
+              (List.find_index
+                 (fun g -> Quorum_spec.nf_equal g.Quorum_spec.g_nf nf)
+                 spec.Quorum_spec.m_guards))
+          (compare_site ctx derived e)
+      in
+      { on_expr; on_item; on_done }
 
-let lint_units ~rules units =
-  if rules = [] then []
-  else List.sort Engine.compare_findings (List.concat_map (lint_unit ~rules) units)
+let quorum_guard =
+  let rule = "quorum-guard" in
+  let make ctx =
+    make_quorum ctx (fun spec ->
+        let on_site ~loc nf = function
+          | Some _ -> ()
+          | None -> (
+              match
+                List.find_opt
+                  (fun g -> Quorum_spec.nf_off_by_one ~spec:g.Quorum_spec.g_nf nf)
+                  spec.Quorum_spec.m_guards
+              with
+              | Some g ->
+                  report ctx ~rule ~loc
+                    (Format.asprintf
+                       "threshold %a is one off the declared guard %a: a weakened or \
+                        strengthened quorum constant breaks the protocol's intersection argument"
+                       Quorum_spec.pp_nf nf Quorum_spec.pp_guard g)
+              | None ->
+                  report ctx ~rule ~loc
+                    (Format.asprintf
+                       "undeclared threshold %a: every comparison against n/f/w arithmetic in %s \
+                        must match a guard declared in tools/lint/quorum_spec.ml"
+                       Quorum_spec.pp_nf nf spec.Quorum_spec.m_module))
+        in
+        (on_site, ignore))
+  in
+  {
+    name = rule;
+    summary =
+      "every threshold comparison in the protocol modules must match a guard declared in \
+       quorum_spec.ml exactly; off-by-one or undeclared comparisons fail";
+    make;
+  }
 
-(* Fixture entry point, mirroring Sem_rules.lint_source. *)
-let lint_source ~rules ~rel source =
-  match Cmt_loader.unit_of_source ~rel source with
-  | u -> lint_unit ~rules u
-  | exception exn ->
-      [
-        {
-          Engine.file = rel;
-          line = 1;
-          col = 0;
-          rule = "typecheck";
-          msg = "cannot typecheck: " ^ Printexc.to_string exn;
-          tier = Engine.tier_quorum;
-          symbol = "";
-          witness = [];
-        };
-      ]
+let quorum_coverage =
+  let rule = "quorum-coverage" in
+  let make ctx =
+    make_quorum ctx (fun spec ->
+        let guards = spec.Quorum_spec.m_guards in
+        let counts = Array.make (List.length guards) 0 in
+        let firsts = Array.make (List.length guards) None in
+        let on_site ~loc _ = function
+          | Some i ->
+              counts.(i) <- counts.(i) + 1;
+              if Option.is_none firsts.(i) then firsts.(i) <- Some loc
+          | None -> ()
+        in
+        (* Runs after the walk: the allow frames are gone, so these
+           findings are baseline-suppressible but not [@lint.allow]-
+           scopable — a missing guard has no site to hang an attribute
+           on anyway. *)
+        let on_done () =
+          List.iteri
+            (fun i g ->
+              let want = g.Quorum_spec.g_sites and got = counts.(i) in
+              if got <> want then
+                add ctx ~rule ~symbol:""
+                  ~loc:(Option.value firsts.(i) ~default:Location.none)
+                  (Format.asprintf "guard %a: expected %d site%s, found %d — %s"
+                     Quorum_spec.pp_guard g want
+                     (if want = 1 then "" else "s")
+                     got
+                     (if got < want then
+                        "a wait/decide threshold was dropped or weakened past recognition"
+                      else "a threshold was duplicated")))
+            guards
+        in
+        (on_site, on_done))
+  in
+  {
+    name = rule;
+    summary =
+      "every declared quorum guard must appear at exactly its declared number of sites: fewer \
+       means a wait/decide guard was dropped, more means one was duplicated";
+    make;
+  }
+
+let all = [ quorum_guard; quorum_coverage ]

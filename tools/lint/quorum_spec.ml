@@ -1,12 +1,12 @@
 (* The quorum-guard specification: every threshold comparison the
    protocol step modules are allowed to contain, in a normal form the
-   quorum tier (quorum_rules.ml) can match Typedtree expressions
+   quorum rules (quorum_rules.ml) can match Typedtree expressions
    against.
 
    The table is the cross-validation anchor between three worlds:
 
      - the OCaml step functions (lib/baselines, lib/core), whose
-       comparisons the quorum tier normalizes and looks up here;
+       comparisons the quorum rules normalize and look up here;
      - the model checker (lib/mc), whose mutant self-tests flip exactly
        these constants and must produce counterexamples;
      - the aba_asyn_byz TLA+ specifications of Bracha-style agreement,
@@ -34,8 +34,8 @@
    [g_sites] is the number of comparison sites the module must contain
    for that guard: fewer means a wait/decide guard was dropped or
    weakened past recognition, more means a guard was duplicated.  Both
-   directions fail the tier (rule quorum-coverage); an expression
-   matching no entry at all fails rule quorum-guard. *)
+   directions fail rule quorum-coverage; an expression matching no
+   entry at all fails rule quorum-guard. *)
 
 type base =
   | Lin of { bn : int; bt : int; bw : int }
