@@ -144,48 +144,67 @@ let write_file path f =
       exit 1
 
 (* Per-trial observation state; every run_ba call gets its own trace and
-   span recorder while metrics aggregate across trials. *)
+   span recorder while metrics aggregate across trials.  The event stream
+   is written trial by trial, so it holds one trial's records at a time. *)
 type observation = {
   metrics : Obs.Metrics.t;
   mutable outcomes : Obs.Json.t list;  (* newest first *)
   mutable spans : Obs.Span.t list;     (* newest first *)
-  mutable chrome : Obs.Json.t list;    (* newest first *)
-  mutable events : Obs.Json.t list;    (* newest first *)
+  mutable chrome : Obs.Json.t list option;  (* newest first; [None] without --emit-trace *)
+  events : out_channel option;              (* --emit-events *)
 }
 
-let observation () =
-  { metrics = Obs.Metrics.create (); outcomes = []; spans = []; chrome = []; events = [] }
+let observation ~chrome events =
+  {
+    metrics = Obs.Metrics.create ();
+    outcomes = [];
+    spans = [];
+    chrome = (if chrome then Some [] else None);
+    events;
+  }
+
+(* [f] with the --emit-events file open, if one was asked for. *)
+let with_events emit_events f =
+  match emit_events with
+  | Some path -> write_file path (fun oc -> f (Some oc))
+  | None -> f None
 
 (* Probe for one BA trial: returns the attach function for Runner ~probe
-   and a [finish] to call once the run returned. *)
+   and a [finish] to call once the run returned.  The trial's span reads
+   the engine's clock through a manual one, set when the run starts and
+   when it returns, so the recorder kept for the metrics document does
+   not keep the engine, and with it the trace ring, alive. *)
 let ba_trial_probe obs ~trial =
   let trace = Sim.Trace.create () in
-  let span = ref None in
+  let clock, set_clock = Obs.Span.manual_clock () in
+  let sp = Obs.Span.create clock in
+  let read_engine = ref ignore in
   let attach eng =
     Core.Instrument.attach_ba eng ~metrics:obs.metrics;
     Sim.Trace.attach trace eng;
-    let sp = Obs.Span.create (Obs.Span.engine_clock eng) in
-    Obs.Span.begin_span sp (Printf.sprintf "trial-%d" trial);
-    span := Some sp
+    (read_engine := fun () -> set_clock (Sim.Engine.step eng) (Sim.Engine.now eng));
+    !read_engine ();
+    Obs.Span.begin_span sp (Printf.sprintf "trial-%d" trial)
   in
   let finish (o : Core.Runner.outcome) =
-    (match !span with
-    | Some sp ->
-        Obs.Span.end_span sp;
-        obs.spans <- sp :: obs.spans
-    | None -> ());
+    !read_engine ();
+    Obs.Span.end_span sp;
+    obs.spans <- sp :: obs.spans;
     obs.outcomes <- Core.Instrument.outcome_json o :: obs.outcomes;
     obs.chrome <-
-      List.rev_append
-        (Obs.Export.chrome_process_name ~pid:trial (Printf.sprintf "trial %d" trial)
-         :: (Obs.Export.chrome_of_trace ~pid:trial trace
-            @ match !span with Some sp -> Obs.Export.chrome_of_spans ~pid:trial sp | None -> []))
+      Option.map
+        (List.rev_append
+           (Obs.Export.chrome_process_name ~pid:trial (Printf.sprintf "trial %d" trial)
+            :: Obs.Export.chrome_of_trace ~pid:trial trace
+            @ Obs.Export.chrome_of_spans ~pid:trial sp))
         obs.chrome;
-    obs.events <- List.rev_append (Obs.Export.trace_jsonl ~run:trial trace) obs.events
+    Option.iter
+      (fun oc -> Obs.Export.write_jsonl oc (Obs.Export.trace_jsonl ~run:trial trace))
+      obs.events
   in
   (attach, finish)
 
-let write_observation obs ~params ~emit_metrics ~emit_trace ~emit_events =
+let write_observation obs ~params ~emit_metrics ~emit_trace =
   let doc () =
     Core.Instrument.metrics_doc ~params ~outcomes:(List.rev obs.outcomes)
       ~spans:(List.rev obs.spans) ~metrics:obs.metrics ()
@@ -196,15 +215,12 @@ let write_observation obs ~params ~emit_metrics ~emit_trace ~emit_events =
           Obs.Json.to_channel oc (doc ());
           output_char oc '\n')
   | None -> ());
-  (match emit_trace with
-  | Some path ->
+  match (emit_trace, obs.chrome) with
+  | Some path, Some chrome ->
       write_file path (fun oc ->
-          Obs.Json.to_channel oc (Obs.Export.chrome_trace (List.rev obs.chrome));
+          Obs.Json.to_channel oc (Obs.Export.chrome_trace (List.rev chrome));
           output_char oc '\n')
-  | None -> ());
-  match emit_events with
-  | Some path -> write_file path (fun oc -> Obs.Export.write_jsonl oc (List.rev obs.events))
-  | None -> ()
+  | _ -> ()
 
 (* ------------------------------ params ------------------------------ *)
 
@@ -246,13 +262,13 @@ let unanimous_arg =
 (* The shared trial loop of `ba` and `obs`.  Exporters attach only when a
    sink asked for them: an unobserved run takes the exact same code path
    as before this layer existed. *)
-let run_ba_trials ~observe n seed trials lambda epsilon d backend rsa_bits scheduler corruption
-    unanimous =
+let run_ba_trials ~observe ~chrome ?events n seed trials lambda epsilon d backend rsa_bits
+    scheduler corruption unanimous =
   let keyring = make_keyring backend rsa_bits n seed in
   let params = make_params n epsilon d lambda in
   Format.printf "%a@." Core.Params.pp params;
   let corruption = corruption_of params corruption in
-  let obs = observation () in
+  let obs = observation ~chrome events in
   let exit_code = ref 0 in
   for i = 0 to trials - 1 do
     let inputs = if unanimous then Array.make n 1 else Array.init n (fun p -> (p + i) mod 2) in
@@ -277,12 +293,13 @@ let ba_cmd =
   let run n seed trials lambda epsilon d backend rsa_bits scheduler corruption unanimous
       emit_metrics emit_trace emit_events =
     let observe = emit_metrics <> None || emit_trace <> None || emit_events <> None in
-    let params, obs, exit_code =
-      run_ba_trials ~observe n seed trials lambda epsilon d backend rsa_bits scheduler corruption
-        unanimous
-    in
-    write_observation obs ~params ~emit_metrics ~emit_trace ~emit_events;
-    exit_code
+    with_events emit_events (fun events ->
+        let params, obs, exit_code =
+          run_ba_trials ~observe ~chrome:(emit_trace <> None) ?events n seed trials lambda epsilon
+            d backend rsa_bits scheduler corruption unanimous
+        in
+        write_observation obs ~params ~emit_metrics ~emit_trace;
+        exit_code)
   in
   Cmd.v (Cmd.info "ba" ~doc:"Run Byzantine Agreement WHP instances.")
     Term.(
@@ -493,14 +510,15 @@ let obs_cmd =
     match load with
     | Some path -> summarize_loaded path
     | None ->
-        let params, obs, exit_code =
-          run_ba_trials ~observe:true n seed trials lambda epsilon d backend rsa_bits scheduler
-            corruption unanimous
-        in
-        print_metrics_summary obs.metrics;
-        print_spans_summary (List.rev obs.spans);
-        write_observation obs ~params ~emit_metrics ~emit_trace ~emit_events;
-        exit_code
+        with_events emit_events (fun events ->
+            let params, obs, exit_code =
+              run_ba_trials ~observe:true ~chrome:(emit_trace <> None) ?events n seed trials
+                lambda epsilon d backend rsa_bits scheduler corruption unanimous
+            in
+            print_metrics_summary obs.metrics;
+            print_spans_summary (List.rev obs.spans);
+            write_observation obs ~params ~emit_metrics ~emit_trace;
+            exit_code)
   in
   let load_arg =
     Arg.(

@@ -89,7 +89,7 @@ let attach eng ~metrics ?tag_of ?round_of () =
       Metrics.add (series_of e.Sim.Envelope.payload).delivered 1;
       if not (Sim.Engine.is_correct eng e.Sim.Envelope.dst) then Metrics.add to_faulty 1;
       Metrics.record_int latency_steps ~count:1 (Sim.Engine.step eng - e.Sim.Envelope.sent_step);
-      Metrics.record latency_vtime ~count:1 (Sim.Engine.now eng -. e.Sim.Envelope.sent_now);
+      Metrics.record_diff latency_vtime ~count:1 (Sim.Engine.now eng) e.Sim.Envelope.sent_now;
       Metrics.record_int causal_depth ~count:1 e.Sim.Envelope.depth);
   let corruptions = Metrics.counter metrics "corruptions" in
   Sim.Engine.on_corrupt eng (fun _pid -> Metrics.add corruptions 1)

@@ -15,8 +15,8 @@
     tagless series at attachment.  Recording a delivery is then a tag
     lookup ({!Sim.Intern}, the ledger's interner: physical equality
     first) and five plain updates, with no label sorting, rendering or
-    hashing; its one allocation is the boxed float of the virtual-time
-    latency.  A series still appears in the registry only once it is
+    hashing, and it allocates nothing: the virtual-time latency is
+    taken between the two stored times inside {!Metrics.record_diff}.  A series still appears in the registry only once it is
     recorded into, as before.
 
     Counter series written ([class] is ["correct"] or ["byz"] at send

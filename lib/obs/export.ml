@@ -1,11 +1,19 @@
 let bench_schema = "coincidence.bench/1"
 
+(* Every record goes through one buffer, emptied into the channel as it
+   passes 64 KiB. *)
 let write_jsonl oc values =
+  let buf = Buffer.create 65536 in
   List.iter
     (fun v ->
-      Json.to_channel oc v;
-      output_char oc '\n')
-    values
+      Json.to_buffer buf v;
+      Buffer.add_char buf '\n';
+      if Buffer.length buf >= 65536 then begin
+        Buffer.output_buffer oc buf;
+        Buffer.clear buf
+      end)
+    values;
+  Buffer.output_buffer oc buf
 
 let jsonl_to_string values =
   let buf = Buffer.create 4096 in
@@ -16,81 +24,148 @@ let jsonl_to_string values =
     values;
   Buffer.contents buf
 
+(* ------------------------- trace exporters ------------------------- *)
+
+(* The integer members [(key, Int v)] of one key that the records of one
+   export share.  [member] keeps one per value in [0, member_limit) and
+   builds the others fresh; [recent] keeps the last one asked for, which
+   consecutive records share (the step of a broadcast's Sent records and
+   of the delivery that caused them).  [Json.t] is immutable, so no
+   reader can tell a shared member from a fresh one. *)
+type members = {
+  key : string;
+  mutable shared : (string * Json.t) array;  (* [unset] where not built yet *)
+  mutable last : string * Json.t;
+}
+
+let member_limit = 4096
+let unset = ("", Json.Null)
+let members key = { key; shared = [||]; last = unset }
+
+let member m v =
+  if v < 0 || v >= member_limit then (m.key, Json.Int v)
+  else begin
+    if v >= Array.length m.shared then begin
+      let grown = Array.make (min member_limit (max 64 (2 * v))) unset in
+      Array.blit m.shared 0 grown 0 (Array.length m.shared);
+      m.shared <- grown
+    end;
+    let p = m.shared.(v) in
+    if p != unset then p
+    else begin
+      let p = (m.key, Json.Int v) in
+      m.shared.(v) <- p;
+      p
+    end
+  end
+
+let recent m v =
+  match m.last with
+  | _, Json.Int v' when v' = v -> m.last
+  | _ ->
+      let p = (m.key, Json.Int v) in
+      m.last <- p;
+      p
+
+(* Records are built newest first, so consing them yields the stream
+   oldest first with no [List.rev]. *)
 let trace_jsonl ?(run = 0) trace =
-  (* Members that every record of one kind shares are built once per call. *)
   let run = ("run", Json.Int run) in
   let ev_send = ("ev", Json.Str "send")
   and ev_deliver = ("ev", Json.Str "deliver")
   and ev_corrupt = ("ev", Json.Str "corrupt") in
+  let step = members "step"
+  and src = members "src"
+  and dst = members "dst"
+  and depth = members "depth"
+  and words = members "words"
+  and pid = members "pid" in
   let record = function
-    | Sim.Trace.Sent { step; id; src; dst; depth; words } ->
+    | Sim.Trace.Sent { step = s; id; src = a; dst = b; depth = d; words = w } ->
         Json.Obj
           [
             ev_send;
             run;
-            ("step", Json.Int step);
+            recent step s;
             ("id", Json.Int id);
-            ("src", Json.Int src);
-            ("dst", Json.Int dst);
-            ("depth", Json.Int depth);
-            ("words", Json.Int words);
+            member src a;
+            member dst b;
+            member depth d;
+            member words w;
           ]
-    | Sim.Trace.Delivered { step; id; src; dst; depth } ->
+    | Sim.Trace.Delivered { step = s; id; src = a; dst = b; depth = d } ->
         Json.Obj
           [
             ev_deliver;
             run;
-            ("step", Json.Int step);
+            recent step s;
             ("id", Json.Int id);
-            ("src", Json.Int src);
-            ("dst", Json.Int dst);
-            ("depth", Json.Int depth);
+            member src a;
+            member dst b;
+            member depth d;
           ]
-    | Sim.Trace.Corrupted { step; pid } ->
-        Json.Obj [ ev_corrupt; run; ("step", Json.Int step); ("pid", Json.Int pid) ]
+    | Sim.Trace.Corrupted { step = s; pid = p } ->
+        Json.Obj [ ev_corrupt; run; recent step s; member pid p ]
   in
-  List.rev (Sim.Trace.fold trace ~init:[] ~f:(fun acc e -> record e :: acc))
+  Sim.Trace.fold_right trace ~init:[] ~f:(fun e acc -> record e :: acc)
 
 (* Nestable async events pair up on (cat, id, pid); "b" and "e" must agree
    on all three.  tid only affects which track row hosts the event. *)
 let chrome_of_trace ?(pid = 0) trace =
+  let cat_msg = ("cat", Json.Str "msg")
+  and ph_b = ("ph", Json.Str "b")
+  and ph_e = ("ph", Json.Str "e")
+  and pid = ("pid", Json.Int pid) in
+  let ts = members "ts" and tid = members "tid" and words = members "words" in
+  let depth = members "depth" in
+  (* "msg <src>-><dst>", rendered by the emitter into one reused buffer. *)
+  let name_buf = Buffer.create 16 in
+  let name src dst =
+    Buffer.clear name_buf;
+    Buffer.add_string name_buf "msg ";
+    Json.to_buffer name_buf (Json.Int src);
+    Buffer.add_string name_buf "->";
+    Json.to_buffer name_buf (Json.Int dst);
+    ("name", Json.Str (Buffer.contents name_buf))
+  in
+  (* A broadcast's begin events share one args object. *)
+  let args = ref unset in
+  let args_of w d =
+    match !args with
+    | _, Json.Obj [ (_, Json.Int w'); (_, Json.Int d') ] when w' = w && d' = d -> !args
+    | _ ->
+        args := ("args", Json.Obj [ member words w; member depth d ]);
+        !args
+  in
   let ev = function
-    | Sim.Trace.Sent { step; id; src; dst; depth; words } ->
+    | Sim.Trace.Sent { step; id; src; dst; depth = d; words = w } ->
         Json.Obj
           [
-            ("name", Json.Str (Printf.sprintf "msg %d->%d" src dst));
-            ("cat", Json.Str "msg");
-            ("ph", Json.Str "b");
+            name src dst;
+            cat_msg;
+            ph_b;
             ("id", Json.Int id);
-            ("ts", Json.Int step);
-            ("pid", Json.Int pid);
-            ("tid", Json.Int src);
-            ("args", Json.Obj [ ("words", Json.Int words); ("depth", Json.Int depth) ]);
+            recent ts step;
+            pid;
+            member tid src;
+            args_of w d;
           ]
     | Sim.Trace.Delivered { step; id; src; dst; _ } ->
         Json.Obj
-          [
-            ("name", Json.Str (Printf.sprintf "msg %d->%d" src dst));
-            ("cat", Json.Str "msg");
-            ("ph", Json.Str "e");
-            ("id", Json.Int id);
-            ("ts", Json.Int step);
-            ("pid", Json.Int pid);
-            ("tid", Json.Int src);
-          ]
+          [ name src dst; cat_msg; ph_e; ("id", Json.Int id); recent ts step; pid; member tid src ]
     | Sim.Trace.Corrupted { step; pid = victim } ->
         Json.Obj
           [
-            ("name", Json.Str (Printf.sprintf "corrupt %d" victim));
+            ("name", Json.Str ("corrupt " ^ string_of_int victim));
             ("cat", Json.Str "fault");
             ("ph", Json.Str "i");
             ("s", Json.Str "p");
-            ("ts", Json.Int step);
-            ("pid", Json.Int pid);
-            ("tid", Json.Int victim);
+            recent ts step;
+            pid;
+            member tid victim;
           ]
   in
-  List.rev (Sim.Trace.fold trace ~init:[] ~f:(fun acc e -> ev e :: acc))
+  Sim.Trace.fold_right trace ~init:[] ~f:(fun e acc -> ev e :: acc)
 
 let chrome_of_spans ?(pid = 0) ?tid spans =
   List.map

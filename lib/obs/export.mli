@@ -26,16 +26,35 @@ val bench_schema : string
     one, so CI can check freshly emitted bench documents. *)
 
 val write_jsonl : out_channel -> Json.t list -> unit
-(** Each value on its own line (the emitter never embeds newlines). *)
+(** Each value on its own line (the emitter never embeds newlines),
+    rendered through one buffer that is written out every 64 KiB. *)
 
 val jsonl_to_string : Json.t list -> string
 
+(** {2 Trace records}
+
+    Both trace exporters build each record once, in a single newest-first
+    pass over the ring ({!Sim.Trace.fold_right}), so the list comes out
+    oldest first with no [List.rev].  Records of one call share the
+    members that recur: one [(key, Int v)] pair per key and value in
+    [0, 4096) for [src], [dst], [depth], [words] and [pid] (Chrome:
+    [tid], and the [args] of a broadcast's begin events), one
+    [step]/[ts] member across consecutive records of one step, and one
+    member per call for [ev], [run], [cat], [ph] and [pid].  A [Sent]
+    record then allocates its object, its member list and its [id]
+    member, about 30 words, and a [Delivered] one its [step] member
+    too; the ring's fold adds the {!Sim.Trace.event} it passes.  [Json.t]
+    is immutable, so no consumer can tell a shared member from a fresh
+    one, and the rendered bytes are those of unshared records. *)
+
 val trace_jsonl : ?run:int -> Sim.Trace.t -> Json.t list
-(** Oldest first; single pass over the ring buffer.  [run] (default 0)
-    stamps every record so several trials can share one stream. *)
+(** Oldest first.  [run] (default 0) stamps every record so several
+    trials can share one stream. *)
 
 val chrome_of_trace : ?pid:int -> Sim.Trace.t -> Json.t list
-(** [pid] (default 0) distinguishes trials in one trace file. *)
+(** [pid] (default 0) distinguishes trials in one trace file.  A
+    message's ["msg s->d"] name is rendered by the emitter into a
+    reused buffer, one string per event. *)
 
 val chrome_of_spans : ?pid:int -> ?tid:int -> Span.t -> Json.t list
 (** [tid] (when given) overrides the per-span process id as the track

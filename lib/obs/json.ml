@@ -9,38 +9,58 @@ type t =
 
 (* ----------------------------- emitter ----------------------------- *)
 
+(* The characters JSON forbids raw inside a string. *)
+let[@inline] needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let hex = "0123456789abcdef"
+
+let escape_char buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | '\b' -> Buffer.add_string buf "\\b"
+  | '\012' -> Buffer.add_string buf "\\f"
+  | c when Char.code c < 0x20 ->
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf hex.[Char.code c lsr 4];
+      Buffer.add_char buf hex.[Char.code c land 15]
+  | c -> Buffer.add_char buf c
+
+(* A string with nothing to escape, which is nearly every key and value
+   of the documents, goes in with one [Buffer.add_string]; any other one
+   character by character.  Loops rather than an iterator, so nothing
+   here allocates. *)
 let escape_to buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let len = String.length s in
+  let i = ref 0 in
+  while !i < len && not (needs_escape (String.unsafe_get s !i)) do
+    incr i
+  done;
+  if !i = len then Buffer.add_string buf s
+  else
+    for j = 0 to len - 1 do
+      escape_char buf (String.unsafe_get s j)
+    done;
   Buffer.add_char buf '"'
 
-(* Decimal digits straight into the buffer, most significant first:
-   [string_of_int] formats through C and allocates a string per integer,
-   and integers are most of an event stream.  The loop runs on the
-   non-positive magnitude [m], so [min_int], whose negation overflows,
-   needs no special case: [p] is the largest power of ten not above |m|,
-   and each digit is -((m / p) mod 10). *)
+(* Decimal digits of the non-positive [m], most significant first: the
+   recursion peels the last digit with a division by the constant 10,
+   which compiles to a multiply.  Running on -|i| lets [min_int], whose
+   negation overflows, need no special case; each digit is -(m mod 10). *)
+let rec add_digits buf m =
+  if m <= -10 then add_digits buf (m / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+
 let add_int buf i =
-  if i < 0 then Buffer.add_char buf '-';
-  let m = if i < 0 then i else -i in
-  let p = ref 1 in
-  while !p <= -(m / 10) do p := !p * 10 done;
-  while !p > 0 do
-    Buffer.add_char buf (Char.unsafe_chr (48 - ((m / !p) mod 10)));
-    p := !p / 10
-  done
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
 
 (* Shortest decimal rendering that parses back to the same float; both
    candidates are valid JSON numbers ("%.17g" may print "1e+16" — fine). *)
@@ -48,6 +68,8 @@ let float_repr f =
   let short = Printf.sprintf "%.12g" f in
   if float_of_string short = f then short else Printf.sprintf "%.17g" f
 
+(* Lists and objects render by direct recursion, with no iterator
+   closure per container. *)
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -56,31 +78,47 @@ let rec to_buffer buf = function
       if not (Float.is_finite f) then Buffer.add_string buf "null"
       else Buffer.add_string buf (float_repr f)
   | Str s -> escape_to buf s
-  | List xs ->
+  | List [] -> Buffer.add_string buf "[]"
+  | List (x :: xs) ->
       Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ',';
-          to_buffer buf x)
-        xs;
+      to_buffer buf x;
+      elements buf xs;
       Buffer.add_char buf ']'
-  | Obj kvs ->
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj (kv :: kvs) ->
       Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          escape_to buf k;
-          Buffer.add_char buf ':';
-          to_buffer buf v)
-        kvs;
+      member buf kv;
+      members buf kvs;
       Buffer.add_char buf '}'
+
+and elements buf = function
+  | [] -> ()
+  | x :: xs ->
+      Buffer.add_char buf ',';
+      to_buffer buf x;
+      elements buf xs
+
+and member buf (k, v) =
+  escape_to buf k;
+  Buffer.add_char buf ':';
+  to_buffer buf v
+
+and members buf = function
+  | [] -> ()
+  | kv :: kvs ->
+      Buffer.add_char buf ',';
+      member buf kv;
+      members buf kvs
 
 let to_string v =
   let buf = Buffer.create 256 in
   to_buffer buf v;
   Buffer.contents buf
 
-let to_channel oc v = output_string oc (to_string v)
+let to_channel oc v =
+  let buf = Buffer.create 4096 in
+  to_buffer buf v;
+  Buffer.output_buffer oc buf
 
 (* ----------------------------- parser ------------------------------ *)
 

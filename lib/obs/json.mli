@@ -18,8 +18,13 @@ type t =
   | Obj of (string * t) list
 
 val to_buffer : Buffer.t -> t -> unit
+(** Appends the value's rendering.  Nothing is allocated but the
+    buffer's own growth, and the text of a [Float]. *)
+
 val to_string : t -> string
+
 val to_channel : out_channel -> t -> unit
+(** Renders into a buffer and writes that, with no intermediate string. *)
 
 val of_string : string -> (t, string) result
 (** Strict parse of exactly one JSON value (trailing whitespace allowed).

@@ -121,6 +121,7 @@ let[@inline] update h count v =
 
 let record h ~count v = update h count v
 let record_int h ~count v = update h count (float_of_int v)
+let record_diff h ~count a b = update h count (a -. b)
 let observe t ?labels name v = record (histo t ?labels name) ~count:1 v
 
 let counter_value t ?(labels = []) name =

@@ -58,6 +58,11 @@ val record_int : histo -> count:int -> int -> unit
 (** [record h ~count (float_of_int v)] without boxing a float at the
     call, so an integer observation allocates nothing. *)
 
+val record_diff : histo -> count:int -> float -> float -> unit
+(** [record_diff h ~count a b] is [record h ~count (a -. b)], with the
+    difference taken inside, so it is never boxed: an interval between
+    two stored times allocates nothing. *)
+
 val observe : t -> ?labels:(string * string) list -> string -> float -> unit
 (** [record (histo t ?labels name) ~count:1 v]. *)
 

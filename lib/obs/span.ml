@@ -4,9 +4,6 @@ let manual_clock () =
   let step = ref 0 and now = ref 0.0 in
   ({ step = (fun () -> !step); now = (fun () -> !now) }, fun s t -> step := s; now := t)
 
-let engine_clock eng =
-  { step = (fun () -> Sim.Engine.step eng); now = (fun () -> Sim.Engine.now eng) }
-
 type span = {
   name : string;
   pid : int option;

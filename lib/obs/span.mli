@@ -13,11 +13,9 @@
 type clock = { step : unit -> int; now : unit -> float }
 
 val manual_clock : unit -> clock * (int -> float -> unit)
-(** A clock driven by the returned setter — for tests and for recording
-    outside any engine. *)
-
-val engine_clock : 'm Sim.Engine.t -> clock
-(** (engine step, engine virtual time). *)
+(** A clock driven by the returned setter.  A recorder kept after its
+    run on this clock holds no reference to the run's engine; [ba]
+    sets it from the engine when a trial starts and when it returns. *)
 
 type span = {
   name : string;

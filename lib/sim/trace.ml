@@ -3,74 +3,53 @@ type event =
   | Delivered of { step : int; id : int; src : int; dst : int; depth : int }
   | Corrupted of { step : int; pid : int }
 
-(* A ring of events in struct-of-arrays form: slot i of every array is
-   one event, so recording is seven int stores and allocates nothing.
-   [Corrupted] keeps its pid in [src]; [Delivered] and [Corrupted] leave
-   the unused fields 0.  The arrays start small and double, up to
-   [capacity], the first time the ring fills; only a full-size ring
-   wraps, so a growing ring holds its events in slots 0 .. total - 1. *)
+(* A ring of events in fixed-size chunks.  Slot [i] is the seven ints
+   from [fields * (i land (chunk_slots - 1))] of chunk [i lsr chunk_bits]:
+   kind, step, id, src, dst, depth, words.  Recording is seven int stores
+   and allocates nothing.  A chunk is allocated when the write cursor
+   first reaches it, cut to the capacity if it is the last one, and never
+   moved: the ring fills without copying.  Only a full ring wraps, so a
+   filling ring holds its events in slots 0 .. total - 1, and the cursor
+   reaches the chunks in index order.  [Corrupted] keeps its pid in
+   [src]; [Delivered] and [Corrupted] leave the unused fields 0. *)
 
 let kind_sent = 0
 let kind_delivered = 1
 let kind_corrupted = 2
 
+let fields = 7
+let chunk_bits = 10
+let chunk_slots = 1 lsl chunk_bits
+
 type t = {
   capacity : int;
-  mutable kind : int array;
-  mutable step : int array;
-  mutable id : int array;
-  mutable src : int array;
-  mutable dst : int array;
-  mutable depth : int array;
-  mutable words : int array;
+  mutable chunks : int array array;  (* the chunks reached so far *)
   mutable next : int;   (* write cursor *)
   mutable total : int;  (* events ever recorded *)
 }
 
-let initial_slots = 1024
-
 let create ?(capacity = 100_000) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  let len = min capacity initial_slots in
-  let arr () = Array.make len 0 in
-  {
-    capacity;
-    kind = arr ();
-    step = arr ();
-    id = arr ();
-    src = arr ();
-    dst = arr ();
-    depth = arr ();
-    words = arr ();
-    next = 0;
-    total = 0;
-  }
+  { capacity; chunks = [||]; next = 0; total = 0 }
 
-let grow t =
-  let len = min t.capacity (2 * Array.length t.kind) in
-  let g a =
-    let a' = Array.make len 0 in
-    Array.blit a 0 a' 0 t.next;
-    a'
-  in
-  t.kind <- g t.kind;
-  t.step <- g t.step;
-  t.id <- g t.id;
-  t.src <- g t.src;
-  t.dst <- g t.dst;
-  t.depth <- g t.depth;
-  t.words <- g t.words
+let new_chunk t c =
+  let slots = min chunk_slots (t.capacity - (c lsl chunk_bits)) in
+  let chunk = Array.make (fields * slots) 0 in
+  t.chunks <- Array.append t.chunks [| chunk |];
+  chunk
 
 let record t ~kind ~step ~id ~src ~dst ~depth ~words =
-  if t.next = Array.length t.kind && t.next < t.capacity then grow t;
   let i = t.next in
-  t.kind.(i) <- kind;
-  t.step.(i) <- step;
-  t.id.(i) <- id;
-  t.src.(i) <- src;
-  t.dst.(i) <- dst;
-  t.depth.(i) <- depth;
-  t.words.(i) <- words;
+  let c = i lsr chunk_bits in
+  let chunk = if c < Array.length t.chunks then t.chunks.(c) else new_chunk t c in
+  let b = fields * (i land (chunk_slots - 1)) in
+  chunk.(b) <- kind;
+  chunk.(b + 1) <- step;
+  chunk.(b + 2) <- id;
+  chunk.(b + 3) <- src;
+  chunk.(b + 4) <- dst;
+  chunk.(b + 5) <- depth;
+  chunk.(b + 6) <- words;
   t.next <- (if i + 1 = t.capacity then 0 else i + 1);
   t.total <- t.total + 1
 
@@ -93,51 +72,58 @@ let length t = min t.total t.capacity
 let dropped t = max 0 (t.total - t.capacity)
 
 let event_at t i =
-  let step = t.step.(i) in
-  let k = t.kind.(i) in
+  let chunk = t.chunks.(i lsr chunk_bits) and b = fields * (i land (chunk_slots - 1)) in
+  let k = chunk.(b) and step = chunk.(b + 1) in
   if k = kind_sent then
     Sent
       {
         step;
-        id = t.id.(i);
-        src = t.src.(i);
-        dst = t.dst.(i);
-        depth = t.depth.(i);
-        words = t.words.(i);
+        id = chunk.(b + 2);
+        src = chunk.(b + 3);
+        dst = chunk.(b + 4);
+        depth = chunk.(b + 5);
+        words = chunk.(b + 6);
       }
   else if k = kind_delivered then
-    Delivered { step; id = t.id.(i); src = t.src.(i); dst = t.dst.(i); depth = t.depth.(i) }
-  else Corrupted { step; pid = t.src.(i) }
+    Delivered
+      { step; id = chunk.(b + 2); src = chunk.(b + 3); dst = chunk.(b + 4); depth = chunk.(b + 5) }
+  else Corrupted { step; pid = chunk.(b + 3) }
 
-(* Single pass over the live slots, oldest first, without materializing a
-   list; every accessor below is a fold. *)
+(* The slot of the [k]-th oldest live event. *)
+let slot t k =
+  let j = (if t.total <= t.capacity then 0 else t.next) + k in
+  if j >= t.capacity then j - t.capacity else j
+
+(* Single passes over the live slots, without materializing a list;
+   every accessor below is one of these folds. *)
 let fold t ~init ~f =
-  let len = length t in
-  let start = if t.total <= t.capacity then 0 else t.next in
   let acc = ref init in
-  for i = 0 to len - 1 do
-    let j = start + i in
-    acc := f !acc (event_at t (if j >= t.capacity then j - t.capacity else j))
+  for k = 0 to length t - 1 do
+    acc := f !acc (event_at t (slot t k))
+  done;
+  !acc
+
+let fold_right t ~f ~init =
+  let acc = ref init in
+  for k = length t - 1 downto 0 do
+    acc := f (event_at t (slot t k)) !acc
   done;
   !acc
 
 let iter t ~f = fold t ~init:() ~f:(fun () e -> f e)
 
-let events t = List.rev (fold t ~init:[] ~f:(fun acc e -> e :: acc))
+let events t = fold_right t ~f:List.cons ~init:[]
 
 let sends_by t pid =
   fold t ~init:0 ~f:(fun acc e ->
       match e with Sent { src; _ } when src = pid -> acc + 1 | _ -> acc)
 
 let deliveries_of t ~id =
-  List.rev
-    (fold t ~init:[] ~f:(fun acc e ->
-         match e with Delivered { id = i; dst; _ } when i = id -> dst :: acc | _ -> acc))
+  fold_right t ~init:[] ~f:(fun e acc ->
+      match e with Delivered { id = i; dst; _ } when i = id -> dst :: acc | _ -> acc)
 
 let corrupted_pids t =
-  List.rev
-    (fold t ~init:[] ~f:(fun acc e ->
-         match e with Corrupted { pid; _ } -> pid :: acc | _ -> acc))
+  fold_right t ~init:[] ~f:(fun e acc -> match e with Corrupted { pid; _ } -> pid :: acc | _ -> acc)
 
 let max_depth t =
   fold t ~init:0 ~f:(fun acc e ->

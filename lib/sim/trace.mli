@@ -11,14 +11,14 @@
 
     {2 Storage and memory}
 
-    The ring is seven parallel int arrays (struct of arrays), one slot
-    per event, so recording an event is seven int stores and allocates
-    nothing.  The arrays start at 1024 slots (fewer if [capacity] is
-    smaller) and double as they fill, up to [capacity]: after [k] events
-    they hold fewer than [max 1024 (2 * k)] slots and never more than
+    The ring is a row of chunks of 1024 slots, each slot seven ints, so
+    recording an event is seven int stores and allocates nothing.  A
+    chunk is allocated when the ring first reaches it (the last one cut
+    to [capacity]) and is never copied or moved: after [k] events the
+    chunks hold fewer than [k + 1024] slots and never more than
     [capacity], at 7 words a slot, so the default capacity of 100,000
-    costs at most 5.6 MB on a 64-bit host.  The {!event} values that
-    {!fold} passes are built as it reads them. *)
+    costs at most 5.6 MB on a 64-bit host.  The {!event} values that the
+    folds pass are built as they read them. *)
 
 type event =
   | Sent of { step : int; id : int; src : int; dst : int; depth : int; words : int }
@@ -39,6 +39,10 @@ val fold : t -> init:'a -> f:('a -> event -> 'a) -> 'a
 (** Fold over the recorded events, oldest first, in one pass over the
     ring buffer and without materializing a list.  Every query below is
     implemented on top of this. *)
+
+val fold_right : t -> f:(event -> 'a -> 'a) -> init:'a -> 'a
+(** {!fold} newest first: consing each event builds a list oldest
+    first, with no [List.rev]. *)
 
 val iter : t -> f:(event -> unit) -> unit
 

@@ -405,6 +405,17 @@ let quorum_unmatched_module () =
   Alcotest.(check int) "no spec, no findings" 0
     (List.length (qlint ~rel:"lib/core/mystery.ml" q_rbc_clean))
 
+(* A guard with no matched site is reported at the start of the unit,
+   line 1 and column 0, not at a location with line 0 and column -1. *)
+let check_coverage_located fs =
+  List.iter
+    (fun f ->
+      if String.equal f.Coinlint.Engine.rule "quorum-coverage" then begin
+        Alcotest.(check bool) "coverage finding on a real line" true (f.Coinlint.Engine.line >= 1);
+        Alcotest.(check bool) "coverage finding at a real column" true (f.Coinlint.Engine.col >= 0)
+      end)
+    fs
+
 let quorum_off_by_one () =
   (* One constant off a declared guard => quorum-guard names the spec
      entry it almost matches, and the deliver guard's site count drops
@@ -412,6 +423,7 @@ let quorum_off_by_one () =
   let fs = qlint q_off_by_one in
   Alcotest.(check int) "off-by-one flagged" 1 (count "quorum-guard" fs);
   Alcotest.(check int) "deliver guard uncovered" 1 (count "quorum-coverage" fs);
+  check_coverage_located fs;
   Alcotest.(check bool) "finding names the near guard" true
     (List.exists
        (fun f ->
@@ -434,7 +446,8 @@ let quorum_operator_flip () =
 let quorum_dropped_guard () =
   let fs = qlint q_dropped_echo in
   Alcotest.(check int) "no stray guard findings" 0 (count "quorum-guard" fs);
-  Alcotest.(check int) "dropped echo guard caught" 1 (count "quorum-coverage" fs)
+  Alcotest.(check int) "dropped echo guard caught" 1 (count "quorum-coverage" fs);
+  check_coverage_located fs
 
 let quorum_duplicated_guard () =
   let src =

@@ -112,7 +112,10 @@ let test_fold_after_wraparound () =
         (ok && step >= prev, step))
   in
   Alcotest.(check bool) "steps non-decreasing after wraparound" true monotone;
-  Alcotest.(check int) "fold sees only live slots" 5 (Trace.fold trace ~init:0 ~f:(fun n _ -> n + 1))
+  Alcotest.(check int) "fold sees only live slots" 5 (Trace.fold trace ~init:0 ~f:(fun n _ -> n + 1));
+  Alcotest.(check bool) "fold_right walks the same window newest first" true
+    (Trace.fold_right trace ~init:[] ~f:List.cons
+    = List.rev (Trace.fold trace ~init:[] ~f:(fun acc e -> e :: acc)))
 
 let test_attach_does_not_change_execution () =
   let run traced =
@@ -133,11 +136,12 @@ let test_attach_does_not_change_execution () =
   in
   Alcotest.(check bool) "same delivery order" true (run true = run false)
 
-(* The ring grows by doubling until it reaches its capacity and wraps
+(* The ring fills chunk by chunk until it reaches its capacity and wraps
    only then.  Two traces of one run, one big enough to keep everything,
-   must agree on the window the smaller one keeps, across the growth
-   steps (1024, 2048, ...) and the capacity that is not a power of two,
-   and on broadcasts written as n Sent events at once. *)
+   must agree on the window the smaller one keeps, across the chunk
+   boundaries (1024, 2048, ...), a capacity of exactly one chunk, one
+   whose last chunk is cut short and one below a chunk, and on
+   broadcasts written as n Sent events at once. *)
 let test_ring_growth_and_window () =
   let record capacities =
     let eng : int Engine.t = Engine.create ~n:8 ~seed:4 () in

@@ -244,6 +244,12 @@ let quorum_guard =
     make;
   }
 
+(* Where a guard with no matched site is reported: line 1, column 0 of
+   the unit, as the guard has no site of its own. *)
+let unit_start =
+  let p = { Lexing.pos_fname = ""; pos_lnum = 1; pos_bol = 0; pos_cnum = 0 } in
+  { Location.loc_start = p; loc_end = p; loc_ghost = true }
+
 let quorum_coverage =
   let rule = "quorum-coverage" in
   let make ctx =
@@ -267,7 +273,7 @@ let quorum_coverage =
               let want = g.Quorum_spec.g_sites and got = counts.(i) in
               if got <> want then
                 add ctx ~rule ~symbol:""
-                  ~loc:(Option.value firsts.(i) ~default:Location.none)
+                  ~loc:(Option.value firsts.(i) ~default:unit_start)
                   (Format.asprintf "guard %a: expected %d site%s, found %d — %s"
                      Quorum_spec.pp_guard g want
                      (if want = 1 then "" else "s")
