@@ -145,28 +145,31 @@ let write_file path f =
 
 (* Per-trial observation state; every run_ba call gets its own trace and
    span recorder while metrics aggregate across trials.  The event stream
-   is written trial by trial, so it holds one trial's records at a time. *)
+   and the Chrome trace are written trial by trial, so they hold one
+   trial's records at a time. *)
 type observation = {
   metrics : Obs.Metrics.t;
   mutable outcomes : Obs.Json.t list;  (* newest first *)
   mutable spans : Obs.Span.t list;     (* newest first *)
-  mutable chrome : Obs.Json.t list option;  (* newest first; [None] without --emit-trace *)
-  events : out_channel option;              (* --emit-events *)
+  chrome : (Obs.Json.t list -> unit) option;  (* appends to the --emit-trace document *)
+  events : out_channel option;                (* --emit-events *)
 }
 
 let observation ~chrome events =
-  {
-    metrics = Obs.Metrics.create ();
-    outcomes = [];
-    spans = [];
-    chrome = (if chrome then Some [] else None);
-    events;
-  }
+  { metrics = Obs.Metrics.create (); outcomes = []; spans = []; chrome; events }
 
 (* [f] with the --emit-events file open, if one was asked for. *)
 let with_events emit_events f =
   match emit_events with
   | Some path -> write_file path (fun oc -> f (Some oc))
+  | None -> f None
+
+(* [f] with the --emit-trace document open, if one was asked for: [f]
+   gets the function that appends events to it, and the document is
+   closed when [f] returns. *)
+let with_chrome emit_trace f =
+  match emit_trace with
+  | Some path -> write_file path (fun oc -> Obs.Export.write_chrome oc (fun add -> f (Some add)))
   | None -> f None
 
 (* Probe for one BA trial: returns the attach function for Runner ~probe
@@ -191,36 +194,27 @@ let ba_trial_probe obs ~trial =
     Obs.Span.end_span sp;
     obs.spans <- sp :: obs.spans;
     obs.outcomes <- Core.Instrument.outcome_json o :: obs.outcomes;
-    obs.chrome <-
-      Option.map
-        (List.rev_append
-           (Obs.Export.chrome_process_name ~pid:trial (Printf.sprintf "trial %d" trial)
-            :: Obs.Export.chrome_of_trace ~pid:trial trace
-            @ Obs.Export.chrome_of_spans ~pid:trial sp))
-        obs.chrome;
+    Option.iter
+      (fun add ->
+        add [ Obs.Export.chrome_process_name ~pid:trial (Printf.sprintf "trial %d" trial) ];
+        add (Obs.Export.chrome_of_trace ~pid:trial trace);
+        add (Obs.Export.chrome_of_spans ~pid:trial sp))
+      obs.chrome;
     Option.iter
       (fun oc -> Obs.Export.write_jsonl oc (Obs.Export.trace_jsonl ~run:trial trace))
       obs.events
   in
   (attach, finish)
 
-let write_observation obs ~params ~emit_metrics ~emit_trace =
-  let doc () =
-    Core.Instrument.metrics_doc ~params ~outcomes:(List.rev obs.outcomes)
-      ~spans:(List.rev obs.spans) ~metrics:obs.metrics ()
-  in
-  (match emit_metrics with
+let write_metrics obs ~params ~emit_metrics =
+  match emit_metrics with
   | Some path ->
       write_file path (fun oc ->
-          Obs.Json.to_channel oc (doc ());
+          Obs.Json.to_channel oc
+            (Core.Instrument.metrics_doc ~params ~outcomes:(List.rev obs.outcomes)
+               ~spans:(List.rev obs.spans) ~metrics:obs.metrics ());
           output_char oc '\n')
-  | None -> ());
-  match (emit_trace, obs.chrome) with
-  | Some path, Some chrome ->
-      write_file path (fun oc ->
-          Obs.Json.to_channel oc (Obs.Export.chrome_trace (List.rev chrome));
-          output_char oc '\n')
-  | _ -> ()
+  | None -> ()
 
 (* ------------------------------ params ------------------------------ *)
 
@@ -294,12 +288,13 @@ let ba_cmd =
       emit_metrics emit_trace emit_events =
     let observe = emit_metrics <> None || emit_trace <> None || emit_events <> None in
     with_events emit_events (fun events ->
-        let params, obs, exit_code =
-          run_ba_trials ~observe ~chrome:(emit_trace <> None) ?events n seed trials lambda epsilon
-            d backend rsa_bits scheduler corruption unanimous
-        in
-        write_observation obs ~params ~emit_metrics ~emit_trace;
-        exit_code)
+        with_chrome emit_trace (fun chrome ->
+            let params, obs, exit_code =
+              run_ba_trials ~observe ~chrome ?events n seed trials lambda epsilon d backend
+                rsa_bits scheduler corruption unanimous
+            in
+            write_metrics obs ~params ~emit_metrics;
+            exit_code))
   in
   Cmd.v (Cmd.info "ba" ~doc:"Run Byzantine Agreement WHP instances.")
     Term.(
@@ -511,14 +506,15 @@ let obs_cmd =
     | Some path -> summarize_loaded path
     | None ->
         with_events emit_events (fun events ->
-            let params, obs, exit_code =
-              run_ba_trials ~observe:true ~chrome:(emit_trace <> None) ?events n seed trials
-                lambda epsilon d backend rsa_bits scheduler corruption unanimous
-            in
-            print_metrics_summary obs.metrics;
-            print_spans_summary (List.rev obs.spans);
-            write_observation obs ~params ~emit_metrics ~emit_trace;
-            exit_code)
+            with_chrome emit_trace (fun chrome ->
+                let params, obs, exit_code =
+                  run_ba_trials ~observe:true ~chrome ?events n seed trials lambda epsilon d
+                    backend rsa_bits scheduler corruption unanimous
+                in
+                print_metrics_summary obs.metrics;
+                print_spans_summary (List.rev obs.spans);
+                write_metrics obs ~params ~emit_metrics;
+                exit_code))
   in
   let load_arg =
     Arg.(
@@ -712,19 +708,20 @@ let estimate_cmd =
         | Some path, Some o ->
             (* One Chrome track per worker domain: thread_name metadata
                plus that worker's spans with tid forced to the slot. *)
-            let events =
-              Obs.Export.chrome_process_name ~pid:0
-                (Printf.sprintf "estimate %s" kind_name)
-              :: List.concat
-                   (List.init (Array.length o.Core.Analysis.obs_spans) (fun w ->
-                        Obs.Export.chrome_thread_name ~pid:0 ~tid:w
-                          (Printf.sprintf "worker %d" w)
-                        :: Obs.Export.chrome_of_spans ~pid:0 ~tid:w
-                             o.Core.Analysis.obs_spans.(w)))
-            in
             write_file path (fun oc ->
-                Obs.Json.to_channel oc (Obs.Export.chrome_trace events);
-                output_char oc '\n')
+                Obs.Export.write_chrome oc (fun add ->
+                    add
+                      [
+                        Obs.Export.chrome_process_name ~pid:0
+                          (Printf.sprintf "estimate %s" kind_name);
+                      ];
+                    Array.iteri
+                      (fun w spans ->
+                        add
+                          (Obs.Export.chrome_thread_name ~pid:0 ~tid:w
+                             (Printf.sprintf "worker %d" w)
+                          :: Obs.Export.chrome_of_spans ~pid:0 ~tid:w spans))
+                      o.Core.Analysis.obs_spans))
         | _ -> ());
         (match json with
         | Some "-" ->

@@ -41,13 +41,18 @@ type cache = {
 let cache () =
   { c_init = Sample.Memo.create (); c_echo = Sample.Memo.create (); c_ok = Sample.Memo.create () }
 
-(* Per-value receive bookkeeping.  Dedup sets are committee-rank bitsets
-   (~lambda bits), not n-sized arrays: the senders a phase accepts are
-   exactly the members of its ground-truth committee (Sample.Directory),
-   so the rank is a dense per-phase index. *)
-type value_state = {
-  vs_echo : (Sample.cert * string) Sample.Phase.t;
-  vs_echo_payload : string;
+(* A value's echo phase: the run-shared handle of C(<echo,v>) and the
+   payload its members sign.  Naming a value costs this much and no
+   more: a message is checked against it for rank, dedup and
+   certificate before the value's counters exist. *)
+type echo = { phase : (Sample.cert * string) Sample.Phase.t; payload : string }
+
+(* A value's receive counters, created by the first INIT or ECHO of the
+   value that is accepted.  Dedup sets are committee-rank bitsets (~lambda
+   bits), not n-sized arrays: the senders a phase accepts are exactly the
+   members of its ground-truth committee (Sample.Directory), so the rank
+   is a dense per-phase index. *)
+type counters = {
   init_seen : Sample.Seen.t;
   mutable init_count : int;
   mutable echoed : bool;
@@ -69,11 +74,11 @@ type t = {
   cache : cache;
   init : Sample.cert Sample.Phase.t;
   ok : (int * Sample.cert * echo_evidence list) Sample.Phase.t;
-  mutable values : (int * value_state) list;
-      (* per-value receive state, sorted ascending by value: at most the
-         two binary inputs plus bot ever appear, and a deterministic
-         iteration order keeps emitted-action order independent of
-         hashing internals (coinlint hashtbl-iter) *)
+  echoes : echo option array;
+  counts : counters option array;
+      (* both indexed by [index v]: bot, 0, 1, the values in ascending
+         order, so iterating the slots keeps emitted actions and the
+         state encoding in value order *)
   mutable my_input : int option;
   mutable ok_cert : Sample.cert option;
       (* our OK-committee certificate, member or not: sampled when an echo
@@ -95,6 +100,7 @@ let echo_payload t v = Printf.sprintf "%s/echo-sig/%d" t.instance v
 (* The approver's value domain: the binary inputs and bot.  A message
    naming any other value is dropped before it reaches any state. *)
 let in_domain v = v = 0 || v = 1 || v = bot
+let index v = v + 1
 
 let create ?dir ?cache:copt ~keyring ~params ~pid ~instance () =
   let n = params.Params.n in
@@ -118,7 +124,8 @@ let create ?dir ?cache:copt ~keyring ~params ~pid ~instance () =
     cache;
     init = Sample.Phase.create dir cache.c_init ~s:(instance ^ "/init");
     ok = Sample.Phase.create dir cache.c_ok ~s:(instance ^ "/ok");
-    values = [];
+    echoes = Array.make 3 None;
+    counts = Array.make 3 None;
     my_input = None;
     ok_cert = None;
     ok_sent = false;
@@ -132,29 +139,42 @@ let lambda t = t.params.Params.lambda
 let w t = t.params.Params.w
 let b t = t.params.Params.b
 
-let new_value_state t v =
-  let s =
-    {
-      vs_echo = Sample.Phase.create t.dir t.cache.c_echo ~s:(s_echo t v);
-      vs_echo_payload = echo_payload t v;
-      init_seen = Sample.Seen.create ();
-      init_count = 0;
-      echoed = false;
-      echo_seen = Sample.Seen.create ();
-      echo_count = 0;
-      ev_pid = [||];
-      ev_cert = [||];
-      ev_sig = [||];
-    }
-  in
-  t.values <- List.sort (fun (a, _) (b, _) -> Int.compare a b) ((v, s) :: t.values);
-  s
+let echo t v =
+  match t.echoes.(index v) with
+  | Some e -> e
+  | None ->
+      let e =
+        { phase = Sample.Phase.create t.dir t.cache.c_echo ~s:(s_echo t v); payload = echo_payload t v }
+      in
+      t.echoes.(index v) <- Some e;
+      e
 
-let rec find_value_state t v = function
-  | (v', s) :: rest -> if Int.equal v v' then s else find_value_state t v rest
-  | [] -> new_value_state t v
+let counters t v =
+  match t.counts.(index v) with
+  | Some c -> c
+  | None ->
+      let c =
+        {
+          init_seen = Sample.Seen.create ();
+          init_count = 0;
+          echoed = false;
+          echo_seen = Sample.Seen.create ();
+          echo_count = 0;
+          ev_pid = [||];
+          ev_cert = [||];
+          ev_sig = [||];
+        }
+      in
+      t.counts.(index v) <- Some c;
+      c
 
-let value_state t v = find_value_state t v t.values
+(* The counters present, in ascending value order. *)
+let fold_counts f t acc =
+  let acc = ref acc in
+  for i = 0 to 2 do
+    match t.counts.(i) with Some c -> acc := f (i - 1) c !acc | None -> ()
+  done;
+  !acc
 
 let own_ok_cert t =
   match t.ok_cert with
@@ -193,16 +213,15 @@ let input t v =
       (* An echo threshold may already have been crossed while this
          instance was passive (messages outran our own activation); emit
          the pending OK now that we have an input. *)
-      let pending = List.concat_map (fun (v, st) -> maybe_ok t v st) t.values in
+      let pending = fold_counts (fun v st acc -> acc @ maybe_ok t v st) t [] in
       let cert = Sample.sample t.keyring ~pid:t.pid ~s:(s_init t) ~lambda:(lambda t) in
       if cert.Sample.member then Broadcast (Init { v; cert }) :: pending else pending
 
 let maybe_echo t v st =
   if st.echoed || st.init_count < b t + 1 then []
   else begin
-    let cert =
-      Sample.sample t.keyring ~pid:t.pid ~s:(Sample.Phase.s st.vs_echo) ~lambda:(lambda t)
-    in
+    let e = echo t v in
+    let cert = Sample.sample t.keyring ~pid:t.pid ~s:(Sample.Phase.s e.phase) ~lambda:(lambda t) in
     if not cert.Sample.member then begin
       (* Not in this value's echo committee: mark handled so we do not
          resample on every further init. *)
@@ -211,7 +230,7 @@ let maybe_echo t v st =
     end
     else begin
       st.echoed <- true;
-      let signature = Vrf.Keyring.sign t.keyring t.pid (echo_payload t v) in
+      let signature = Vrf.Keyring.sign t.keyring t.pid e.payload in
       [ Broadcast (Echo { v; cert; signature }) ]
     end
   end
@@ -229,31 +248,30 @@ let valid_init t r src cert =
       slots.(r) <- Sample.Memo.Verdict { key = cert; ok };
       ok
 
-let valid_echo t st r pid cert signature =
-  let slots = Sample.Phase.slots st.vs_echo in
+let valid_echo t e r pid cert signature =
+  let slots = Sample.Phase.slots e.phase in
   match slots.(r) with
   | Sample.Memo.Verdict { key = kc, ks; ok }
     when Sample.same_cert cert kc && (signature == ks || String.equal signature ks) ->
       ok
   | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
       let ok =
-        Sample.committee_val t.keyring ~s:(Sample.Phase.s st.vs_echo) ~lambda:(lambda t) ~pid
-          cert
-        && Vrf.Keyring.verify_sig t.keyring ~signer:pid st.vs_echo_payload signature
+        Sample.committee_val t.keyring ~s:(Sample.Phase.s e.phase) ~lambda:(lambda t) ~pid cert
+        && Vrf.Keyring.verify_sig t.keyring ~signer:pid e.payload signature
       in
       slots.(r) <- Sample.Memo.Verdict { key = (cert, signature); ok };
       ok
 
-let valid_ok_support t st support =
+let valid_ok_support t e support =
   (* W entries, distinct pids, each a certified member of C(<echo,v>) with a
      valid signature on the echo payload. *)
   List.length support = w t
   &&
-  let seen = Sim.Bitset.create (Sample.Phase.size st.vs_echo) in
+  let seen = Sim.Bitset.create (Sample.Phase.size e.phase) in
   List.for_all
     (fun { pid; cert; signature } ->
-      let r = Sample.Phase.rank st.vs_echo pid in
-      r >= 0 && (not (Sim.Bitset.test_and_set seen r)) && valid_echo t st r pid cert signature)
+      let r = Sample.Phase.rank e.phase pid in
+      r >= 0 && (not (Sim.Bitset.test_and_set seen r)) && valid_echo t e r pid cert signature)
     support
 
 let valid_ok t r src v cert support =
@@ -263,10 +281,9 @@ let valid_ok t r src v cert support =
     when Int.equal kv v && kc == cert && ksup == support ->
       ok
   | Sample.Memo.Verdict _ | Sample.Memo.Unset ->
-      let st = value_state t v in
       let ok =
         Sample.committee_val t.keyring ~s:(s_ok t) ~lambda:(lambda t) ~pid:src cert
-        && valid_ok_support t st support
+        && valid_ok_support t (echo t v) support
       in
       slots.(r) <- Sample.Memo.Verdict { key = (v, cert, support); ok };
       ok
@@ -292,16 +309,19 @@ let ok_value_set t =
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.ok_values.(i) :: acc) in
   List.sort_uniq Int.compare (go (t.ok_count - 1) [])
 
+let echo_seen t v r =
+  match t.counts.(index v) with Some st -> Sample.Seen.mem st.echo_seen r | None -> false
+
 let handle t ~src msg =
   match msg with
   | (Init { v; _ } | Echo { v; _ } | Ok { v; _ }) when not (in_domain v) -> []
   | Init { v; cert } ->
-      (* Rank and certificate before any per-value state: a forged INIT
+      (* Rank and certificate before the value's counters: a forged INIT
          leaves no trace. *)
       let r = Sample.Phase.rank t.init src in
       if r < 0 || not (valid_init t r src cert) then []
       else begin
-        let st = value_state t v in
+        let st = counters t v in
         if Sample.Seen.mem st.init_seen r then []
         else begin
           Sample.Seen.add t.init st.init_seen r;
@@ -310,12 +330,13 @@ let handle t ~src msg =
         end
       end
   | Echo { v; cert; signature } ->
-      let st = value_state t v in
-      let r = Sample.Phase.rank st.vs_echo src in
-      if r < 0 || Sample.Seen.mem st.echo_seen r || not (valid_echo t st r src cert signature)
-      then []
+      (* Rank, dedup and certificate before the value's counters. *)
+      let e = echo t v in
+      let r = Sample.Phase.rank e.phase src in
+      if r < 0 || echo_seen t v r || not (valid_echo t e r src cert signature) then []
       else begin
-        Sample.Seen.add st.vs_echo st.echo_seen r;
+        let st = counters t v in
+        Sample.Seen.add e.phase st.echo_seen r;
         st.echo_count <- st.echo_count + 1;
         (* OK support only ever carries the first W echoes, so later
            evidence need not be retained. *)
@@ -343,7 +364,7 @@ let result t = t.delivered
 (* The keyring, params, directory, caches and committee views are
    deterministic run-wide constants: clones share them.  Only the mutable
    receive bookkeeping forks. *)
-let clone_value_state vs =
+let clone_counters vs =
   {
     vs with
     init_seen = Sample.Seen.copy vs.init_seen;
@@ -356,7 +377,8 @@ let clone_value_state vs =
 let clone t =
   {
     t with
-    values = List.map (fun (v, vs) -> (v, clone_value_state vs)) t.values;
+    echoes = Array.copy t.echoes;
+    counts = Array.map (Option.map clone_counters) t.counts;
     ok_seen = Sample.Seen.copy t.ok_seen;
     ok_values = Array.copy t.ok_values;
   }
@@ -370,7 +392,7 @@ let enc_bits buf bs =
   Buffer.add_char buf '|'
 
 let encode buf t =
-  (* [values] is kept sorted ascending by value, so the encoding is
+  (* The counter slots are in ascending value order, so the encoding is
      canonical without extra work.  Certificates and signatures are
      deterministic functions of (keyring, instance, pid) and need no
      bytes here; evidence order matters (OK support carries the first W
@@ -389,8 +411,8 @@ let encode buf t =
   | Some set ->
       List.iter (enc_int buf) set;
       Buffer.add_char buf '!');
-  List.iter
-    (fun (v, vs) ->
+  fold_counts
+    (fun v vs () ->
       enc_int buf v;
       enc_bits buf vs.init_seen;
       enc_int buf vs.init_count;
@@ -401,4 +423,4 @@ let encode buf t =
         enc_int buf vs.ev_pid.(i)
       done;
       Buffer.add_char buf '|')
-    t.values
+    t ()

@@ -51,11 +51,11 @@ type t
 type cache
 (** Run-shared validation memo ({!Sample.Memo}): committee-certificate
     and echo-signature verdicts in one array per phase string, one slot
-    per committee member by {!Sample.Directory.rank}.  An instance
-    resolves a phase's committee and array ({!Sample.Phase}) the first
-    time a delivery or a step of that phase consults it, so a delivery
-    reads one slot without hashing and a phase no message reaches costs
-    no VRF evaluation.  An OK's support entries use the ECHO slots of their
+    per committee member by {!Sample.Directory.rank}.  The run's
+    instances share one handle per phase ({!Sample.Phase}), which
+    resolves the committee and its array the first time a delivery or a
+    step of that phase consults it, so a delivery reads one slot without
+    hashing and a phase no message reaches costs no VRF evaluation.  An OK's support entries use the ECHO slots of their
     pids.  Each slot is guarded by the message content it validated
     (physical equality first — a broadcast shares one payload across all
     n deliveries — then byte comparison, full re-verification on any

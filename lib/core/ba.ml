@@ -59,10 +59,10 @@ let make_ctx ~keyring ~params () =
     ccache = Whp_coin.cache ();
   }
 
-(* Round states by round number.  Any int is a key, since a Byzantine
-   message may name any round (no per-sender round budget exists yet),
-   and the hash is the number itself, so a lookup hashes and compares
-   nothing polymorphic. *)
+(* Round states by round number.  Any round from 0 up is a key, since a
+   Byzantine message may name any such round (no per-sender round budget
+   exists yet), and the hash is the number itself, so a lookup hashes and
+   compares nothing polymorphic. *)
 module Rounds = Hashtbl.Make (struct
   type t = int
 
@@ -77,6 +77,10 @@ type t = {
   instance : string;
   ctx : ctx;
   rounds : round_state Rounds.t;
+  mutable last_round : int;
+  mutable last : round_state;
+      (* the round state [round_state] returned last: consecutive
+         deliveries mostly name one round, so they skip the table *)
   mutable est : int;
   mutable started : bool;
   mutable round : int;            (* the round we are actively executing *)
@@ -84,15 +88,35 @@ type t = {
   mutable decided_round : int option;
 }
 
+(* Names its phases; evaluates nothing (Sample.Phase). *)
+let new_round_state ctx ~keyring ~params ~pid ~instance r =
+  let mk tag = Printf.sprintf "%s/r%d/%s" instance r tag in
+  {
+    a1 =
+      Approver.create ~dir:ctx.dir ~cache:ctx.acache ~keyring ~params ~pid ~instance:(mk "a1") ();
+    a2 =
+      Approver.create ~dir:ctx.dir ~cache:ctx.acache ~keyring ~params ~pid ~instance:(mk "a2") ();
+    coin = Whp_coin.create ~dir:ctx.dir ~cache:ctx.ccache ~keyring ~params ~pid ~instance ~round:r ();
+    propose = None;
+    coin_val = None;
+    a2_input = false;
+    completed = false;
+  }
+
 let create ?ctx ~keyring ~params ~pid ~instance () =
   let ctx = match ctx with Some c -> c | None -> make_ctx ~keyring ~params () in
+  let first = new_round_state ctx ~keyring ~params ~pid ~instance 0 in
+  let rounds = Rounds.create 8 in
+  Rounds.replace rounds 0 first;
   {
     keyring;
     params;
     pid;
     instance;
     ctx;
-    rounds = Rounds.create 8;
+    rounds;
+    last_round = 0;
+    last = first;
     est = 0;
     started = false;
     round = 0;
@@ -101,29 +125,23 @@ let create ?ctx ~keyring ~params ~pid ~instance () =
   }
 
 let round_state t r =
-  match Rounds.find t.rounds r with
-  | st -> st
-  | exception Not_found ->
-      let mk tag = Printf.sprintf "%s/r%d/%s" t.instance r tag in
-      let st =
-        {
-          a1 =
-            Approver.create ~dir:t.ctx.dir ~cache:t.ctx.acache ~keyring:t.keyring
-              ~params:t.params ~pid:t.pid ~instance:(mk "a1") ();
-          a2 =
-            Approver.create ~dir:t.ctx.dir ~cache:t.ctx.acache ~keyring:t.keyring
-              ~params:t.params ~pid:t.pid ~instance:(mk "a2") ();
-          coin =
-            Whp_coin.create ~dir:t.ctx.dir ~cache:t.ctx.ccache ~keyring:t.keyring
-              ~params:t.params ~pid:t.pid ~instance:t.instance ~round:r ();
-          propose = None;
-          coin_val = None;
-          a2_input = false;
-          completed = false;
-        }
-      in
-      Rounds.replace t.rounds r st;
-      st
+  if r = t.last_round then t.last
+  else begin
+    let st =
+      match Rounds.find t.rounds r with
+      | st -> st
+      | exception Not_found ->
+          let st =
+            new_round_state t.ctx ~keyring:t.keyring ~params:t.params ~pid:t.pid
+              ~instance:t.instance r
+          in
+          Rounds.replace t.rounds r st;
+          st
+    in
+    t.last_round <- r;
+    t.last <- st;
+    st
+  end
 
 (* Direct recursion, so a step that emits nothing allocates nothing. *)
 let rec wrap_a1 r = function
@@ -239,6 +257,10 @@ let propose t v =
 
 let handle t ~src msg =
   match msg with
+  | A1 { round = r; _ } | A2 { round = r; _ } | Cn { round = r; _ } when r < 0 ->
+      (* No round below 0 exists: a Byzantine message naming one builds
+         no round state and resolves no committee. *)
+      []
   | A1 { round = r; inner } ->
       let st = round_state t r in
       let acts = Approver.handle st.a1 ~src inner in

@@ -81,41 +81,50 @@ end
 let committee kr ~s ~lambda =
   Sim.Bitset.to_list (Directory.committee (Directory.create kr ~lambda) ~s).Directory.bits
 
+type 'k slot = Unset | Verdict of { key : 'k; ok : bool }
+
+type 'k phase = {
+  dir : Directory.t;
+  s : string;
+  mutable comm : Directory.comm;
+  mutable slots : 'k slot array;
+  peer : 'k phase option;
+      (* the memo's handle for [s] when it belongs to another directory:
+         this handle shares its slots, if the committees have one size *)
+}
+
 module Memo = struct
-  type 'k slot = Unset | Verdict of { key : 'k; ok : bool }
-  type 'k t = (string, 'k slot array) Hashtbl.t
+  type nonrec 'k slot = 'k slot = Unset | Verdict of { key : 'k; ok : bool }
+  type 'k t = (string, 'k phase) Hashtbl.t
 
   let create () : 'k t = Hashtbl.create 64
-
-  let phase t ~s comm =
-    let size = Directory.size comm in
-    match Hashtbl.find_opt t s with
-    | Some slots ->
-        if Array.length slots <> size then
-          invalid_arg "Sample.Memo.phase: cache shared across different committees";
-        slots
-    | None ->
-        let slots = Array.make size Unset in
-        Hashtbl.replace t s slots;
-        slots
 end
 
 module Phase = struct
-  type 'k t = {
-    dir : Directory.t;
-    memo : 'k Memo.t;
-    s : string;
-    mutable comm : Directory.comm;
-    mutable slots : 'k Memo.slot array;
-  }
+  type 'k t = 'k phase
 
-  let create dir memo ~s = { dir; memo; s; comm = dir.Directory.unresolved; slots = [||] }
+  let create dir memo ~s =
+    match Hashtbl.find_opt memo s with
+    | Some p when p.dir == dir -> p
+    | peer ->
+        let p = { dir; s; comm = dir.Directory.unresolved; slots = [||]; peer } in
+        if Option.is_none peer then Hashtbl.replace memo s p;
+        p
+
   let s p = p.s
 
-  let resolve p =
+  let rec resolve p =
     if p.comm.Directory.size < 0 then begin
       let comm = Directory.committee p.dir ~s:p.s in
-      p.slots <- Memo.phase p.memo ~s:p.s comm;
+      let size = Directory.size comm in
+      (p.slots <-
+         match p.peer with
+         | None -> Array.make size Unset
+         | Some q ->
+             resolve q;
+             if Array.length q.slots <> size then
+               invalid_arg "Sample.Phase: memo shared across different committees";
+             q.slots);
       p.comm <- comm
     end
 
@@ -132,16 +141,29 @@ module Phase = struct
     p.slots
 end
 
+(* 32 ranks per word, so a rank's word and bit are a shift and a mask.
+   The words sit in the set itself: a [mem] reads the record and one
+   word. *)
 module Seen = struct
-  type t = { mutable bits : Sim.Bitset.t }
+  type t = { mutable words : int array }
 
-  let create () = { bits = Sim.Bitset.create 0 }
-  let mem s r = Sim.Bitset.length s.bits > 0 && Sim.Bitset.mem s.bits r
+  let create () = { words = [||] }
+
+  let mem s r =
+    let i = r lsr 5 in
+    i < Array.length s.words && s.words.(i) land (1 lsl (r land 31)) <> 0
 
   let add p s r =
-    if Sim.Bitset.length s.bits = 0 then s.bits <- Sim.Bitset.create (Phase.size p);
-    Sim.Bitset.add s.bits r
+    if Array.length s.words = 0 then s.words <- Array.make ((Phase.size p + 31) lsr 5) 0;
+    let i = r lsr 5 in
+    s.words.(i) <- s.words.(i) lor (1 lsl (r land 31))
 
-  let copy s = { bits = Sim.Bitset.copy s.bits }
-  let to_list s = Sim.Bitset.to_list s.bits
+  let copy s = { words = Array.copy s.words }
+
+  let to_list s =
+    let acc = ref [] in
+    for r = (32 * Array.length s.words) - 1 downto 0 do
+      if mem s r then acc := r :: !acc
+    done;
+    !acc
 end

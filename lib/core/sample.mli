@@ -74,38 +74,43 @@ end
 
 (** Rank-indexed validation memos, shared by a run's n protocol instances.
 
-    A phase's verdicts live in one array with a slot per committee member,
-    indexed by {!Directory.rank}; {!Phase} hands an instance its array the
-    first time the phase is consulted, so a delivery reads its slot with
-    no hashing.  Each slot keeps the content its verdict was computed for;
-    callers replay the verdict only when the content they hold is that
-    content (physical equality first, then bytes) and re-verify
-    otherwise. *)
+    A memo maps a phase string to that phase's {!Phase} handle, one per
+    run: every instance that names the phase gets the same handle, which
+    holds the committee and one verdict slot per member, indexed by
+    {!Directory.rank}.  A delivery then reads its slot with no hashing and
+    no per-instance copy.  Each slot keeps the content its verdict was
+    computed for; callers replay the verdict only when the content they
+    hold is that content (physical equality first, then bytes) and
+    re-verify otherwise.  A memo is created with its run and never leaves
+    it, so a handle is never shared between domains. *)
 module Memo : sig
   type 'k slot = Unset | Verdict of { key : 'k; ok : bool }
 
   type 'k t
-  (** Phase string to that phase's slots. *)
+  (** Phase string to that phase's handle. *)
 
   val create : unit -> 'k t
 end
 
-(** One phase of a protocol instance: its committee and its memo slots,
-    resolved the first time a delivery or a step of the phase consults
-    them, not when the instance is created.
+(** One phase of a run: its committee and its memo slots, resolved the
+    first time a delivery or a step of the phase consults them, not when
+    an instance names the phase.
 
     Membership is a pure function of the keyring and the phase string,
     so resolving later changes no verdict and no output; it changes only
     how many VRF evaluations a run pays for.  A phase no message ever
     reaches (say, a round after the decision) costs nothing.  Resolution
-    is idempotent, so clones may share a handle. *)
+    is idempotent, so the n instances of a run, and the model checker's
+    clones, share one handle. *)
 module Phase : sig
   type 'k t
 
   val create : Directory.t -> 'k Memo.t -> s:string -> 'k t
-  (** Names phase [s]; evaluates nothing.  [Invalid_argument] at
-      resolution if the memo already holds [s] for a committee of another
-      size (see {!Memo}). *)
+  (** The memo's handle for phase [s], made on the first request;
+      evaluates nothing.  Asked for by another directory, it is a handle
+      of that directory's own that shares the memo handle's slots when it
+      resolves, and raises [Invalid_argument] then if the two committees
+      differ in size. *)
 
   val s : 'k t -> string
 
@@ -119,18 +124,22 @@ module Phase : sig
   (** The run-shared verdict slots, one per rank; resolves the phase. *)
 end
 
-(** A per-instance dedup set over one phase's committee ranks.  It takes
-    no committee-sized space, and resolves nothing, until it records its
-    first rank; an empty set reads the same sized or not. *)
+(** A per-instance dedup set over one phase's committee ranks, holding
+    its bit words itself.  It takes no committee-sized space, and
+    resolves nothing, until it records its first rank; an empty set reads
+    the same sized or not. *)
 module Seen : sig
   type t
 
   val create : unit -> t
+
   val mem : t -> int -> bool
+  (** [false] for a rank the set has no word for, negative ones
+      included. *)
 
   val add : 'k Phase.t -> t -> int -> unit
-  (** [add p s r] records rank [r] of phase [p], sizing [s] at [p]'s
-      committee first if this is its first rank. *)
+  (** [add p s r] records rank [r] of phase [p] ([0 <= r < size p]),
+      sizing [s] at [p]'s committee first if this is its first rank. *)
 
   val copy : t -> t
 

@@ -1,4 +1,4 @@
-(* SHA-256 over native ints (63-bit), masking every 32-bit operation.  The
+(* SHA-256 over native ints (63-bit), masking every 32-bit result.  The
    message schedule and working variables follow FIPS 180-4 section 6.2. *)
 
 let digest_size = 32
@@ -19,54 +19,66 @@ let k =
 
 type ctx = {
   h : int array;               (* 8 chaining words *)
-  buf : Bytes.t;               (* 64-byte block buffer *)
+  buf : Bytes.t;               (* 64-byte block buffer, also the padding *)
   mutable buf_len : int;       (* bytes currently in [buf] *)
   mutable total : int;         (* total bytes absorbed *)
-  w : int array;               (* 64-entry message schedule, reused *)
+  w : int array;               (* rolling 16-word message schedule *)
 }
 
+let fresh h total = { h; buf = Bytes.create 64; buf_len = 0; total; w = Array.make 16 0 }
+
 let init () =
-  {
-    h =
-      [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
-         0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+  fresh
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+       0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+    0
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+(* The word [x] (32 bits) with its bits 0-30 copied into bits 32-62; bit
+   31 falls off the 63-bit int.  Bits n..n+31 of the result are [x]
+   rotated right by n whenever the copy holds every bit they read: bit
+   n+i (i < 32) is [x]'s bit n+i below 32 and its bit n+i-32 <= n-1
+   above, so any n <= 31 works.  Every rotation below is by at most 25
+   (top bit read: 56), so a rotation is one [lsr] and the final mask. *)
+let[@inline] dup x = x lor (x lsl 32)
 
+let[@inline] big_sigma0 a =
+  let d = dup a in
+  ((d lsr 2) lxor (d lsr 13) lxor (d lsr 22)) land mask32
+
+let[@inline] big_sigma1 e =
+  let d = dup e in
+  ((d lsr 6) lxor (d lsr 11) lxor (d lsr 25)) land mask32
+
+let[@inline] small_sigma0 x =
+  let d = dup x in
+  (((d lsr 7) lxor (d lsr 18)) land mask32) lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let d = dup x in
+  (((d lsr 17) lxor (d lsr 19)) land mask32) lxor (x lsr 10)
+
+(* W_t for t >= 16 overwrites W_{t-16} in slot [t land 15]: the rounds
+   read each schedule word once, in order, so 16 slots hold every word
+   still to be read. *)
 let compress ctx block off =
   let w = ctx.w in
   for t = 0 to 15 do
-    let i = off + (4 * t) in
-    w.(t) <-
-      (Char.code (Bytes.get block i) lsl 24)
-      lor (Char.code (Bytes.get block (i + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (i + 2)) lsl 8)
-      lor Char.code (Bytes.get block (i + 3))
-  done;
-  for t = 16 to 63 do
-    let s0 =
-      rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3)
-    in
-    let s1 =
-      rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10)
-    in
-    w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
+    w.(t) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * t))) land mask32
   done;
   let h = ctx.h in
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for t = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask32 in
+    let j = t land 15 in
+    if t >= 16 then
+      w.(j) <-
+        (w.(j) + small_sigma0 w.((t - 15) land 15) + w.((t - 7) land 15)
+        + small_sigma1 w.((t - 2) land 15))
+        land mask32;
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !hh + big_sigma1 !e + ch + k.(t) + w.(j) in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
+    let t2 = big_sigma0 !a + maj in
     hh := !g;
     g := !f;
     f := !e;
@@ -123,35 +135,27 @@ let midstate ctx =
   if ctx.buf_len <> 0 then invalid_arg "Sha256.midstate: not at a block boundary";
   { mh = Array.copy ctx.h; mtotal = ctx.total }
 
-let resume m =
-  { h = Array.copy m.mh; buf = Bytes.create 64; buf_len = 0; total = m.mtotal; w = Array.make 64 0 }
+let resume m = fresh (Array.copy m.mh) m.mtotal
 
+(* Padding, in the block buffer: 0x80, zeros, and the 64-bit big-endian
+   bit length in bytes 56-63.  With more than 55 bytes buffered the
+   length does not fit after the 0x80, so that block is compressed as
+   is and the length goes into a second, otherwise zero, block. *)
 let finalize ctx =
-  let bit_len = ctx.total * 8 in
-  (* Padding: 0x80, zeros, 64-bit big-endian length. *)
-  let pad_len =
-    let r = (ctx.total + 1 + 8) mod 64 in
-    if r = 0 then 1 else 1 + (64 - r)
-  in
-  let pad = Bytes.make (pad_len + 8) '\x00' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    Bytes.set pad
-      (pad_len + i)
-      (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
-  done;
-  (* Bypass the total counter: absorb padding directly. *)
-  let save_total = ctx.total in
-  update_bytes ctx pad 0 (Bytes.length pad);
-  ctx.total <- save_total;
-  assert (ctx.buf_len = 0);
+  let buf = ctx.buf and used = ctx.buf_len in
+  Bytes.set buf used '\x80';
+  if used >= 56 then begin
+    Bytes.fill buf (used + 1) (63 - used) '\x00';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\x00'
+  end
+  else Bytes.fill buf (used + 1) (55 - used) '\x00';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total lsl 3));
+  compress ctx buf 0;
+  ctx.buf_len <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xFF));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
+    Bytes.set_int32_be out (4 * i) (Int32.of_int ctx.h.(i))
   done;
   Bytes.unsafe_to_string out
 

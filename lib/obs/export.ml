@@ -214,8 +214,39 @@ let chrome_thread_name ~pid ~tid name =
       ("args", Json.Obj [ ("name", Json.Str name) ]);
     ]
 
-let chrome_trace events =
-  Json.Obj [ ("traceEvents", Json.List events); ("displayTimeUnit", Json.Str "ms") ]
+(* The one spelling of the Chrome trace wrapper.  The events [f] passes
+   to [add] are rendered into [buf], comma-separated, and [drain] takes
+   the buffer's contents whenever it passes 64 KiB. *)
+let chrome_document buf ~drain f =
+  Buffer.add_string buf {|{"traceEvents":[|};
+  let first = ref true in
+  let add events =
+    List.iter
+      (fun ev ->
+        if !first then first := false else Buffer.add_char buf ',';
+        Json.to_buffer buf ev;
+        if Buffer.length buf >= 65536 then drain buf)
+      events
+  in
+  let result = f add in
+  Buffer.add_string buf {|],"displayTimeUnit":"ms"}|};
+  result
+
+let write_chrome oc f =
+  let buf = Buffer.create 65536 in
+  let drain b =
+    Buffer.output_buffer oc b;
+    Buffer.clear b
+  in
+  let result = chrome_document buf ~drain f in
+  Buffer.add_char buf '\n';
+  drain buf;
+  result
+
+let chrome_to_string events =
+  let buf = Buffer.create 4096 in
+  chrome_document buf ~drain:ignore (fun add -> add events);
+  Buffer.contents buf
 
 (* -------------------------- bench comparison ------------------------- *)
 

@@ -9,7 +9,7 @@
 
     {2 Chrome trace_event}
 
-    {!chrome_trace} wraps events in [{"traceEvents":[...]}] — the JSON
+    {!write_chrome} wraps events in [{"traceEvents":[...]}] — the JSON
     object format understood by [chrome://tracing] and Perfetto.  Each
     message becomes a nestable async begin/end pair (["ph":"b"] at the
     send, ["ph":"e"] at the delivery, joined by [id]); corruptions become
@@ -68,7 +68,18 @@ val chrome_thread_name : pid:int -> tid:int -> string -> Json.t
 (** A metadata event labelling track [tid] of process [pid] — e.g.
     ["worker 3"] for spans recorded inside an Exec worker domain. *)
 
-val chrome_trace : Json.t list -> Json.t
+val write_chrome : out_channel -> ((Json.t list -> unit) -> 'a) -> 'a
+(** [write_chrome oc f] writes one Chrome trace document to [oc]: the
+    [{"traceEvents":[...],"displayTimeUnit":"ms"}] wrapper and a newline,
+    with every event [f] passes to the function it is given in between,
+    in order.  Events are rendered through one buffer that is written out
+    every 64 KiB, so a caller that passes each trial's events when the
+    trial ends holds one trial's records at a time.  Every command that
+    writes a Chrome trace writes it through here. *)
+
+val chrome_to_string : Json.t list -> string
+(** The document {!write_chrome} writes for [events], without the
+    newline. *)
 
 (** {2 Bench comparison}
 

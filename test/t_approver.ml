@@ -320,6 +320,52 @@ let test_forged_inits_leave_no_state () =
     (Invalid_argument "Approver.input: value must be 0, 1 or bot") (fun () ->
       ignore (Approver.input (Approver.create ~keyring:kr ~params:p ~pid:1 ~instance ()) 2))
 
+(* ECHOs and OKs that fail their rank, certificate or support checks
+   must not create the counters of a value no accepted message has named:
+   only the value's echo phase exists, and it is not state. *)
+let test_rejected_echo_ok_leave_no_state () =
+  let kr = Lazy.force keyring in
+  let p = Lazy.force params in
+  let lambda = p.Params.lambda in
+  let instance = "d9" in
+  let a = Approver.create ~keyring:kr ~params:p ~pid:0 ~instance () in
+  ignore (Approver.input a 1 : Approver.action list);
+  let before = encode a in
+  let s_echo v = Printf.sprintf "%s/echo/%d" instance v in
+  let signature pid = Vrf.Keyring.sign kr pid (instance ^ "/echo-sig/0") in
+  let echo0 = Sample.committee kr ~s:(s_echo 0) ~lambda in
+  let nonmember =
+    match List.find_opt (fun pid -> not (List.mem pid echo0)) (List.init n Fun.id) with
+    | Some pid -> pid
+    | None -> Alcotest.fail "echo committee is everyone"
+  in
+  let both =
+    match List.find_opt (fun pid -> List.mem pid (Sample.committee kr ~s:(s_echo 1) ~lambda)) echo0 with
+    | Some pid -> pid
+    | None -> Alcotest.fail "no member of both echo committees"
+  in
+  let dropped label src msg =
+    Alcotest.(check bool) label true (Approver.handle a ~src msg = []);
+    Alcotest.(check string) (label ^ ": state unchanged") before (encode a)
+  in
+  let claimed pid = { (Sample.sample kr ~pid ~s:(s_echo 0) ~lambda) with Sample.member = true } in
+  dropped "ECHO(0) from a non-member" nonmember
+    (Approver.Echo { v = 0; cert = claimed nonmember; signature = signature nonmember });
+  dropped "ECHO(0) from a pid outside [0, n)" n
+    (Approver.Echo { v = 0; cert = claimed both; signature = signature both });
+  dropped "ECHO(0) with an ECHO(1) certificate" both
+    (Approver.Echo
+       { v = 0; cert = Sample.sample kr ~pid:both ~s:(s_echo 1) ~lambda; signature = signature both });
+  let support = valid_support kr p ~instance 0 in
+  let forged =
+    match support with
+    | first :: rest -> { first with Approver.signature = signature (first.Approver.pid + 1) } :: rest
+    | [] -> Alcotest.fail "empty support"
+  in
+  let ok_src, ok_cert = find_member kr ~s:(instance ^ "/ok") ~lambda in
+  dropped "OK(0) with forged support" ok_src
+    (Approver.Ok { v = 0; cert = ok_cert; support = forged })
+
 (* A phase resolves on first use.  Resolving one must not change the
    instance's encoding, or the model checker would split states. *)
 let test_unresolved_encodes_as_empty () =
@@ -362,6 +408,8 @@ let suite =
     Alcotest.test_case "word accounting" `Quick test_word_accounting;
     Alcotest.test_case "ok support pid out of range" `Quick test_ok_support_pid_out_of_range;
     Alcotest.test_case "forged INITs leave no state" `Quick test_forged_inits_leave_no_state;
+    Alcotest.test_case "rejected ECHOs and OKs leave no state" `Quick
+      test_rejected_echo_ok_leave_no_state;
     Alcotest.test_case "unresolved phase encodes as empty" `Quick test_unresolved_encodes_as_empty;
     Alcotest.test_case "memo sound under per-destination payloads" `Quick
       test_memo_per_destination;

@@ -192,7 +192,7 @@ let run_observed ~params ~n run =
           (Instrument.metrics_doc ~params ~outcomes:[ Instrument.outcome_json o ] ~metrics ()) );
       ("events JSONL", Obs.Export.jsonl_to_string (Obs.Export.trace_jsonl trace));
       ( "Chrome trace",
-        Obs.Json.to_string (Obs.Export.chrome_trace (Obs.Export.chrome_of_trace trace)) );
+        Obs.Export.chrome_to_string (Obs.Export.chrome_of_trace trace) );
     ]
   in
   (o, docs)
@@ -350,6 +350,26 @@ let test_vrf_evaluations () =
       ("adaptive", Runner.Crash_adaptive_first f, 1002, 175);
     ]
 
+(* A message naming a round below 0 is dropped before any round state
+   exists: no approver, no coin, no committee.  An A1 INIT that reached
+   a round state would resolve that round's INIT committee, n VRF
+   evaluations. *)
+let test_negative_rounds_leave_no_state () =
+  let n = 16 in
+  let params = Params.make_exn ~strict:false ~epsilon:0.25 ~d:0.04 ~lambda:n ~n () in
+  let keyring = Vrf.Keyring.create ~backend:Vrf.Mock ~n ~seed:"ba-negative" () in
+  let t = Ba.create ~keyring ~params ~pid:0 ~instance:"neg" () in
+  ignore (Ba.propose t 1 : Ba.action list);
+  let src = 1 in
+  let cert = Sample.sample keyring ~pid:src ~s:"neg/r0/a1/init" ~lambda:n in
+  let evaluations = Vrf.Keyring.evaluations keyring in
+  for r = 1 to 100 do
+    let msg = Ba.A1 { round = -r; inner = Approver.Init { v = 0; cert } } in
+    Alcotest.(check bool) (Printf.sprintf "A1 INIT in round %d dropped" (-r)) true
+      (Ba.handle t ~src msg = [])
+  done;
+  Alcotest.(check int) "no VRF evaluation" evaluations (Vrf.Keyring.evaluations keyring)
+
 let suite =
   [
     Alcotest.test_case "validity ones" `Quick test_validity_all_ones;
@@ -372,6 +392,7 @@ let suite =
     Alcotest.test_case "word complexity sane" `Quick test_word_complexity_reasonable;
     Alcotest.test_case "allocation per delivery" `Quick test_allocation_per_delivery;
     Alcotest.test_case "VRF evaluations per instance" `Quick test_vrf_evaluations;
+    Alcotest.test_case "negative rounds leave no state" `Quick test_negative_rounds_leave_no_state;
     Alcotest.test_case "rsa backend small" `Slow test_rsa_backend_small;
     QCheck_alcotest.to_alcotest qcheck_safety_random;
   ]

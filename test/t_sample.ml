@@ -193,6 +193,27 @@ let qcheck_threshold_monotone =
       let l2 = min (l + 1) n in
       Int64.compare (Sample.threshold ~n ~lambda:l) (Sample.threshold ~n ~lambda:l2) <= 0)
 
+(* A run's memo holds one handle per phase string, shared by every
+   instance of the run.  A handle asked for through the same memo by
+   another directory shares that phase's verdict slots only if its
+   committee has as many members: a slot is a committee rank, so a
+   committee of another size would read another committee's verdicts. *)
+let test_memo_one_handle_and_size_guard () =
+  let kr = Lazy.force keyring in
+  let memo = Sample.Memo.create () in
+  let dir lambda = Sample.Directory.create kr ~lambda in
+  let d40 = dir 40 in
+  let a = Sample.Phase.create d40 memo ~s:"guard" in
+  Alcotest.(check bool) "one handle per phase string" true
+    (a == Sample.Phase.create d40 memo ~s:"guard");
+  let same_size = Sample.Phase.create (dir 40) memo ~s:"guard" in
+  Alcotest.(check bool) "another directory, same committee: shared slots" true
+    (Sample.Phase.slots a == Sample.Phase.slots same_size);
+  let other = Sample.Phase.create (dir 100) memo ~s:"guard" in
+  Alcotest.check_raises "another committee size"
+    (Invalid_argument "Sample.Phase: memo shared across different committees") (fun () ->
+      ignore (Sample.Phase.size other : int))
+
 let suite =
   [
     Alcotest.test_case "sample verifies" `Quick test_sample_verifies;
@@ -210,4 +231,6 @@ let suite =
     Alcotest.test_case "cert words" `Quick test_cert_words;
     QCheck_alcotest.to_alcotest qcheck_threshold_monotone;
     Alcotest.test_case "pid out of range" `Quick test_pid_out_of_range;
+    Alcotest.test_case "memo: one handle per phase, size guard" `Quick
+      test_memo_one_handle_and_size_guard;
   ]

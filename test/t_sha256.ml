@@ -151,6 +151,216 @@ let test_midstate () =
     (Invalid_argument "Sha256.midstate: not at a block boundary") (fun () ->
       ignore (Sha256.midstate ctx : Sha256.midstate))
 
+(* ---------------- against the 64-word-schedule implementation ---------------- *)
+
+(* The SHA-256 this module replaced: a fresh 64-word schedule per
+   context, every rotation as two shifts, and the padding built in a
+   fresh buffer and absorbed through [update].  The tests below compare
+   digests with it byte for byte across every padding edge, split point
+   and block-boundary snapshot. *)
+module Reference = struct
+  let mask32 = 0xFFFFFFFF
+
+  let k =
+    [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+       0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+       0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+       0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+       0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+       0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+       0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+       0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+       0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+       0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+       0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
+
+  type ctx = {
+    h : int array;
+    buf : Bytes.t;
+    mutable buf_len : int;
+    mutable total : int;
+    w : int array;
+  }
+
+  let init () =
+    {
+      h =
+        [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+           0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
+      buf = Bytes.create 64;
+      buf_len = 0;
+      total = 0;
+      w = Array.make 64 0;
+    }
+
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+
+  let compress ctx block off =
+    let w = ctx.w in
+    for t = 0 to 15 do
+      let i = off + (4 * t) in
+      w.(t) <-
+        (Char.code (Bytes.get block i) lsl 24)
+        lor (Char.code (Bytes.get block (i + 1)) lsl 16)
+        lor (Char.code (Bytes.get block (i + 2)) lsl 8)
+        lor Char.code (Bytes.get block (i + 3))
+    done;
+    for t = 16 to 63 do
+      let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
+      let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
+      w.(t) <- (w.(t - 16) + s0 + w.(t - 7) + s1) land mask32
+    done;
+    let h = ctx.h in
+    let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+    for t = 0 to 63 do
+      let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+      let ch = (!e land !f) lxor (lnot !e land !g) in
+      let t1 = (!hh + s1 + ch + k.(t) + w.(t)) land mask32 in
+      let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+      let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
+      let t2 = (s0 + maj) land mask32 in
+      hh := !g;
+      g := !f;
+      f := !e;
+      e := (!d + t1) land mask32;
+      d := !c;
+      c := !b;
+      b := !a;
+      a := (t1 + t2) land mask32
+    done;
+    h.(0) <- (h.(0) + !a) land mask32;
+    h.(1) <- (h.(1) + !b) land mask32;
+    h.(2) <- (h.(2) + !c) land mask32;
+    h.(3) <- (h.(3) + !d) land mask32;
+    h.(4) <- (h.(4) + !e) land mask32;
+    h.(5) <- (h.(5) + !f) land mask32;
+    h.(6) <- (h.(6) + !g) land mask32;
+    h.(7) <- (h.(7) + !hh) land mask32
+
+  let update_bytes ctx b off len =
+    ctx.total <- ctx.total + len;
+    let pos = ref off and remaining = ref len in
+    if ctx.buf_len > 0 then begin
+      let take = min !remaining (64 - ctx.buf_len) in
+      Bytes.blit b !pos ctx.buf ctx.buf_len take;
+      ctx.buf_len <- ctx.buf_len + take;
+      pos := !pos + take;
+      remaining := !remaining - take;
+      if ctx.buf_len = 64 then begin
+        compress ctx ctx.buf 0;
+        ctx.buf_len <- 0
+      end
+    end;
+    while !remaining >= 64 do
+      compress ctx b !pos;
+      pos := !pos + 64;
+      remaining := !remaining - 64
+    done;
+    if !remaining > 0 then begin
+      Bytes.blit b !pos ctx.buf 0 !remaining;
+      ctx.buf_len <- !remaining
+    end
+
+  let update ctx s = update_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
+
+  let finalize ctx =
+    let bit_len = ctx.total * 8 in
+    let pad_len =
+      let r = (ctx.total + 1 + 8) mod 64 in
+      if r = 0 then 1 else 1 + (64 - r)
+    in
+    let pad = Bytes.make (pad_len + 8) '\x00' in
+    Bytes.set pad 0 '\x80';
+    for i = 0 to 7 do
+      Bytes.set pad (pad_len + i) (Char.chr ((bit_len lsr (8 * (7 - i))) land 0xFF))
+    done;
+    let save_total = ctx.total in
+    update_bytes ctx pad 0 (Bytes.length pad);
+    ctx.total <- save_total;
+    let out = Bytes.create 32 in
+    for i = 0 to 7 do
+      let v = ctx.h.(i) in
+      Bytes.set out (4 * i) (Char.chr ((v lsr 24) land 0xFF));
+      Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
+      Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
+      Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
+    done;
+    Bytes.unsafe_to_string out
+
+  let digest s =
+    let ctx = init () in
+    update ctx s;
+    finalize ctx
+end
+
+(* Bytes whose every bit position varies, so a wrong rotation or a
+   misplaced length shows in the digest. *)
+let message len = String.init len (fun i -> Char.chr (((i * 167) + (i lsr 3) + 29) land 0xff))
+
+(* Every length from 0 to 200 bytes: the padding edges are 55 (0x80 and
+   the length in one block), 56 (a second block) and 63, 64, 119 and
+   120 one block on. *)
+let test_reference_lengths () =
+  for len = 0 to 200 do
+    let s = message len in
+    check_hex (Printf.sprintf "length %d" len) (Hex.encode (Reference.digest s))
+      (Hex.encode (Sha256.digest s))
+  done
+
+let qcheck_reference_splits =
+  QCheck.Test.make ~name:"qcheck: random update splits = reference digest" ~count:300
+    QCheck.(pair (string_of_size Gen.(0 -- 300)) (list_of_size Gen.(0 -- 6) (int_range 0 300)))
+    (fun (s, cuts) ->
+      let len = String.length s in
+      let cuts = List.sort_uniq Int.compare (List.map (fun c -> min c len) cuts) in
+      let ctx = Sha256.init () in
+      let last =
+        List.fold_left
+          (fun from cut ->
+            Sha256.update ctx (String.sub s from (cut - from));
+            cut)
+          0 cuts
+      in
+      Sha256.update ctx (String.sub s last (len - last));
+      String.equal (Sha256.finalize ctx) (Reference.digest s))
+
+(* A snapshot after 1, 2 or 3 whole blocks, resumed with suffixes that
+   end on each padding edge. *)
+let test_reference_midstate () =
+  List.iter
+    (fun blocks ->
+      let prefix = message (64 * blocks) in
+      let ctx = Sha256.init () in
+      Sha256.update ctx prefix;
+      let m = Sha256.midstate ctx in
+      List.iter
+        (fun suffix_len ->
+          let suffix = String.make suffix_len 'q' in
+          let c = Sha256.resume m in
+          Sha256.update c suffix;
+          check_hex
+            (Printf.sprintf "%d blocks + %d bytes" blocks suffix_len)
+            (Hex.encode (Reference.digest (prefix ^ suffix)))
+            (Hex.encode (Sha256.finalize c)))
+        [ 0; 1; 55; 56; 63; 64; 65; 119; 120; 200 ])
+    [ 1; 2; 3 ]
+
+(* A one-block digest allocates its context (record, chaining words,
+   block buffer, 16-word schedule) and the 32-byte result: 48 words.  The
+   64-word schedule and a fresh padding buffer took it to 105. *)
+let test_digest_allocation () =
+  let s = "abc" in
+  let rounds = 1000 in
+  ignore (Sha256.digest s : string);
+  let w0 = Tutil.allocated_words () in
+  for _ = 1 to rounds do
+    ignore (Sha256.digest s : string)
+  done;
+  let per_digest = (Tutil.allocated_words () -. w0) /. float_of_int rounds in
+  if per_digest > 50. then
+    Alcotest.failf "one-block digest allocates %.1f words (bound 50)" per_digest
+
 let qcheck_avalanche =
   QCheck.Test.make ~name:"qcheck: different inputs, different digests" ~count:300
     QCheck.(pair (string_of_size Gen.(1 -- 64)) (string_of_size Gen.(1 -- 64)))
@@ -168,6 +378,11 @@ let suite =
     Alcotest.test_case "update_bytes bounds check" `Quick test_update_bytes_bounds;
     QCheck_alcotest.to_alcotest qcheck_incremental;
     QCheck_alcotest.to_alcotest qcheck_avalanche;
+    Alcotest.test_case "every length to 200 = reference" `Quick test_reference_lengths;
+    QCheck_alcotest.to_alcotest qcheck_reference_splits;
+    Alcotest.test_case "midstate at block boundaries = reference" `Quick
+      test_reference_midstate;
+    Alcotest.test_case "one-block digest allocation" `Quick test_digest_allocation;
     Alcotest.test_case "sha512 NIST vectors" `Quick test_sha512_vectors;
     Alcotest.test_case "sha512 size" `Quick test_sha512_size;
     Alcotest.test_case "sha512 block boundaries" `Quick test_sha512_block_boundaries;
