@@ -6,10 +6,10 @@
    coincidence estimate  -- statistical campaigns (coin / whp-coin /
                             committee / ba), optionally domain-parallel
    coincidence committee -- sample and inspect committees
-   coincidence chain     -- concurrent agreement slots on one network
    coincidence obs       -- run an instrumented BA and summarize it
    coincidence complexity-- word-complexity ledger sweep (E2 crossover)
    coincidence check     -- exhaustive small-n model checking and replay
+   coincidence experiment-- print one paper table: T1 or E2-E9
 
    `ba` and `obs` take --emit-metrics/--emit-trace/--emit-events to write
    the machine-readable exports (see EXPERIMENTS.md for the schemas).
@@ -102,7 +102,7 @@ let make_params n epsilon d lambda =
     match lambda with
     | Some 0 -> min n (Core.Params.default_lambda ~n)
     | Some l -> l
-    | None -> min n (max (Core.Params.default_lambda ~n) (int_of_float (6.4 *. sqrt (float_of_int n))))
+    | None -> Core.Params.practical_lambda ~n
   in
   Core.Params.make_exn ~strict:false ~epsilon ~d ~lambda ~n ()
 
@@ -521,9 +521,10 @@ let obs_cmd =
       value
       & opt (some string) None
       & info [ "load" ] ~docv:"FILE"
-          ~doc:"Summarize an existing --emit-metrics, bench --json or complexity --json document \
-                instead of running; exits non-zero if the file does not parse, carries the wrong \
-                schema, or (for ledger sweeps) fails structural validation.")
+          ~doc:"Summarize an existing --emit-metrics, complexity --json, check --json or \
+                bench/main.exe --json (B1 rows) document instead of running; exits non-zero if \
+                the file does not parse, carries the wrong schema, or (for ledger sweeps and \
+                counterexamples) fails structural validation.")
   in
   Cmd.v
     (Cmd.info "obs"
@@ -789,24 +790,6 @@ let committee_cmd =
   in
   Cmd.v (Cmd.info "committee" ~doc:"Sample a committee and print its membership.")
     Term.(const run $ n_arg $ seed_arg $ lambda_arg $ epsilon_arg $ d_arg $ s_arg)
-
-(* ------------------------------- chain ------------------------------- *)
-
-let chain_cmd =
-  let run n seed lambda epsilon d slots =
-    let keyring = make_keyring `Mock 256 n seed in
-    let params = make_params n epsilon d lambda in
-    let rng = Crypto.Rng.create seed in
-    let inputs = Array.init slots (fun _ -> Array.init n (fun _ -> Crypto.Rng.int rng 2)) in
-    let o = Core.Chain.run_concurrent ~keyring ~params ~inputs ~seed () in
-    Format.printf "%a@." Core.Chain.pp_outcome o;
-    if o.Core.Chain.all_slots_decided then 0 else 1
-  in
-  let slots_arg =
-    Arg.(value & opt int 4 & info [ "slots" ] ~docv:"K" ~doc:"Concurrent agreement slots.")
-  in
-  Cmd.v (Cmd.info "chain" ~doc:"Decide several agreement slots concurrently on one network.")
-    Term.(const run $ n_arg $ seed_arg $ lambda_arg $ epsilon_arg $ d_arg $ slots_arg)
 
 (* ---------------------------- complexity ----------------------------- *)
 
@@ -1326,6 +1309,26 @@ let check_cmd =
               ~doc:"Replay a coincidence.check/1 counterexample through Sim.Engine instead of \
                     checking; exits 0 iff the violation reproduces."))
 
+(* ----------------------------- experiment ---------------------------- *)
+
+let experiment_cmd =
+  let id_arg =
+    Arg.(
+      required
+      & pos 0 (some (enum Experiment.all)) None
+      & info [] ~docv:"ID"
+          ~doc:"The table to print: t1 (Table 1) or e2 ... e9 (EXPERIMENTS.md).")
+  in
+  Cmd.v
+    (Cmd.info "experiment"
+       ~doc:"Print one of the paper's tables at its committed sizes and seeds; the output is \
+             the table's golden in test/golden.")
+    Term.(
+      const (fun table ->
+          table ();
+          0)
+      $ id_arg)
+
 let () =
   let doc = "Sub-quadratic asynchronous Byzantine Agreement WHP (Cohen-Keidar-Spiegelman, PODC 2020)" in
   let info = Cmd.info "coincidence" ~version:"1.0.0" ~doc in
@@ -1338,7 +1341,7 @@ let () =
             obs_cmd;
             estimate_cmd;
             committee_cmd;
-            chain_cmd;
             complexity_cmd;
             check_cmd;
+            experiment_cmd;
           ]))

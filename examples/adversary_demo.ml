@@ -57,21 +57,9 @@ let () =
   let count_ones ~cheat =
     let ones = ref 0 and unanimous = ref 0 in
     for seed = 1 to trials do
+      (* Omnisciently corrupt holders of the smallest LSB-0 values. *)
       let pre_corrupt =
-        if not cheat then []
-        else begin
-          (* Omnisciently corrupt holders of the smallest LSB-0 values. *)
-          let instance = Printf.sprintf "coin-%d" seed in
-          let alpha = Printf.sprintf "%s/coin/%d" instance seed in
-          let draws = List.init n (fun pid -> (pid, (Vrf.Keyring.prove keyring pid alpha).Vrf.beta)) in
-          let sorted = List.sort (fun (_, a) (_, b) -> Vrf.compare_beta a b) draws in
-          let rec pick acc = function
-            | (pid, beta) :: rest when List.length acc < f ->
-                if Vrf.beta_lsb beta = 0 then pick (pid :: acc) rest else acc
-            | _ -> acc
-          in
-          pick [] sorted
-        end
+        if cheat then Core.Attacks.coin_cheaters ~keyring ~f ~seed ~round:seed else []
       in
       let o = Core.Runner.run_shared_coin ~pre_corrupt ~keyring ~n ~f ~round:seed ~seed () in
       match o.Core.Runner.unanimous with

@@ -71,8 +71,8 @@ let () =
     Format.printf
       "at n = %d the committee machinery (certificates + W-signature OK proofs)@.\
        still costs %.1fx the quadratic baseline: O(n log^2 n) beats O(n^2) only@.\
-       past the constant-factor crossover (~n = 2000 in bench E2).  Re-run with@.\
-       a larger n, or see `dune exec bench/main.exe -- --table e2`.@."
+       past the constant-factor crossover (~n = 2000 in E2).  Re-run with a@.\
+       larger n, or see `dune exec bin/coincidence.exe -- experiment e2`.@."
       n ratio
   else
     Format.printf "the sub-quadratic protocol is %.1fx cheaper at this n.@." (1.0 /. ratio)

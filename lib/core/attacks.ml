@@ -34,3 +34,16 @@ let install_replay eng ~pids =
             Sim.Engine.broadcast eng ~src:pid ~words:(Ba.words_of_msg m) m
           end))
     pids
+
+let coin_cheaters ~keyring ~f ~seed ~round =
+  let alpha = Coin.coin_alpha ~instance:(Runner.coin_instance_name ~seed) ~round in
+  let draws =
+    List.init (Vrf.Keyring.n keyring) (fun pid ->
+        (pid, (Vrf.Keyring.prove keyring pid alpha).Vrf.beta))
+  in
+  let rec pick acc = function
+    | (pid, beta) :: rest when List.length acc < f && Int.equal (Vrf.beta_lsb beta) 0 ->
+        pick (pid :: acc) rest
+    | _ -> acc
+  in
+  pick [] (List.sort (fun (_, a) (_, b) -> Vrf.compare_beta a b) draws)

@@ -40,6 +40,9 @@ val create :
   keyring:Vrf.Keyring.t -> n:int -> f:int -> pid:int -> instance:string -> round:int -> t
 (** A passive instance: no message has been sent yet. *)
 
+val coin_alpha : instance:string -> round:int -> string
+(** The VRF input every process of [instance] evaluates in [round]. *)
+
 val start : t -> action list
 (** Evaluate the VRF and broadcast FIRST (line 2-3).  Idempotent. *)
 

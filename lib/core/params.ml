@@ -13,6 +13,9 @@ let default_lambda ~n =
   let l = int_of_float (Float.round (8.0 *. log (float_of_int n))) in
   max 1 l
 
+let practical_lambda ~n =
+  min n (max (default_lambda ~n) (int_of_float (6.4 *. sqrt (float_of_int n))))
+
 let epsilon_window ~n =
   if n < 2 then None
   else begin

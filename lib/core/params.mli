@@ -34,6 +34,12 @@ val d_window : epsilon:float -> lambda:int -> (float * float) option
 val default_lambda : n:int -> int
 (** [round (8 ln n)], at least 1. *)
 
+val practical_lambda : n:int -> int
+(** [min n (max (8 ln n) (6.4 sqrt n))]: enough concentration margin
+    (about 3 sigma for the W threshold) for runs to complete at finite n.
+    The CLI's default lambda, and the one the experiments use wherever
+    the point is not the paper's 8 ln n itself (EXPERIMENTS.md E2). *)
+
 val make :
   ?epsilon:float -> ?d:float -> ?lambda:int -> ?strict:bool -> n:int -> unit ->
   (t, string) result

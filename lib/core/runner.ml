@@ -49,6 +49,7 @@ let apply_corruption eng rng = function
   | Custom wire -> wire eng
 
 let ba_instance_name ~seed = Printf.sprintf "ba-%d" seed
+let coin_instance_name ~seed = Printf.sprintf "coin-%d" seed
 
 let run_ba ?scheduler ?probe ?(corruption = Honest) ?max_steps ~keyring ~params ~inputs ~seed () =
   let n = params.Params.n in
@@ -142,7 +143,7 @@ let coin_outcome_of eng outputs result =
 let run_shared_coin ?scheduler ?probe ?(pre_corrupt = []) ?corrupt_engine ~keyring ~n ~f ~round ~seed () =
   let eng = Sim.Engine.create ?scheduler ~n ~seed () in
   (match probe with Some attach -> attach eng | None -> ());
-  let instance = Printf.sprintf "coin-%d" seed in
+  let instance = coin_instance_name ~seed in
   let procs = Array.init n (fun pid -> Coin.create ~keyring ~n ~f ~pid ~instance ~round) in
   let outputs = Array.make n None in
   let perform pid actions =

@@ -33,6 +33,10 @@ val ba_instance_name : seed:int -> string
     sampling and signatures — needed by {!Attacks} strategies, which must
     target the same instance. *)
 
+val coin_instance_name : seed:int -> string
+(** The instance tag of a [run_shared_coin] with this seed; its VRF
+    inputs are {!Coin.coin_alpha} of this tag (see {!Attacks.coin_cheaters}). *)
+
 val run_ba :
   ?scheduler:Ba.msg Sim.Scheduler.t ->
   ?probe:(Ba.msg Sim.Engine.t -> unit) ->

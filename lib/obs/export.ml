@@ -248,85 +248,6 @@ let chrome_to_string events =
   chrome_document buf ~drain:ignore (fun add -> add events);
   Buffer.contents buf
 
-(* -------------------------- bench comparison ------------------------- *)
-
-type bench_delta = {
-  cmp_name : string;
-  cmp_old : float;   (** ns/op in the baseline document. *)
-  cmp_new : float;
-  cmp_ratio : float; (** new / old; [infinity] when old is 0. *)
-  cmp_regressed : bool;
-}
-
-let bench_rows doc = match Json.member "rows" doc with Some l -> Json.to_list l | None -> []
-
-let check_bench_schema doc =
-  match Option.bind (Json.member "schema" doc) Json.to_string_opt with
-  | Some s when String.equal s bench_schema -> Ok ()
-  | Some s -> Error (Printf.sprintf "unexpected schema %S (want %S)" s bench_schema)
-  | None -> Error "missing \"schema\" member"
-
-(* The stable comparison surface: b1 micro rows as (name, ns_per_op),
-   and the sim table's raw engine throughput rows as ("sim/<protocol>",
-   ns per message), so a delivery-loop slowdown trips the same gate as a
-   kernel regression.  Sim rows without a [msgs_per_sec] member
-   (protocol runs, the heap audit) carry statistical estimates whose
-   run-to-run drift is expected and stay out, as do the experiment
-   tables. *)
-let comparable_rows doc =
-  List.filter_map
-    (fun r ->
-      match Json.member "table" r with
-      | Some (Json.Str "b1") -> (
-          match
-            ( Option.bind (Json.member "name" r) Json.to_string_opt,
-              Option.bind (Json.member "ns_per_op" r) Json.to_float_opt )
-          with
-          | Some name, Some v -> Some (name, v)
-          | _ -> None)
-      | Some (Json.Str "sim") -> (
-          match
-            ( Option.bind (Json.member "protocol" r) Json.to_string_opt,
-              Option.bind (Json.member "msgs_per_sec" r) Json.to_float_opt )
-          with
-          | Some proto, Some v when v > 0.0 -> Some ("sim/" ^ proto, 1e9 /. v)
-          | _ -> None)
-      | _ -> None)
-    (bench_rows doc)
-
-let bench_compare ~threshold old_doc new_doc =
-  if not (Float.is_finite threshold) || threshold < 0.0 then
-    invalid_arg "Export.bench_compare: threshold must be finite and >= 0";
-  match (check_bench_schema old_doc, check_bench_schema new_doc) with
-  | Error e, _ -> Error ("old document: " ^ e)
-  | _, Error e -> Error ("new document: " ^ e)
-  | Ok (), Ok () -> (
-      let olds = comparable_rows old_doc and news = comparable_rows new_doc in
-      match (olds, news) with
-      | [], _ -> Error "old document has no comparable (b1 or sim) rows"
-      | _, [] -> Error "new document has no comparable (b1 or sim) rows"
-      | _, _ ->
-          Ok
-            (List.filter_map
-               (fun (name, ov) ->
-                 match
-                   List.find_map
-                     (fun (n, v) -> if String.equal n name then Some v else None)
-                     news
-                 with
-                 | None -> None
-                 | Some nv ->
-                     let ratio = if ov > 0.0 then nv /. ov else Float.infinity in
-                     Some
-                       {
-                         cmp_name = name;
-                         cmp_old = ov;
-                         cmp_new = nv;
-                         cmp_ratio = ratio;
-                         cmp_regressed = ov > 0.0 && nv > ov *. (1.0 +. threshold);
-                       })
-               (List.sort (fun (a, _) (b, _) -> String.compare a b) olds)))
-
 (* -------------------------- ledger documents ------------------------- *)
 
 let ledger_schema = "coincidence.ledger/1"

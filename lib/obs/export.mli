@@ -19,11 +19,11 @@
     groups a run (trial), [tid] is the sending process. *)
 
 val bench_schema : string
-(** Schema tag ["coincidence.bench/1"] carried by bench-harness JSON
-    documents: [{"schema", "full", "rows": [{"table": ..., ...}]}].  The
-    producer lives in [bench/main.ml]; the validator behind
-    [coincidence obs --load] accepts this schema alongside the metrics
-    one, so CI can check freshly emitted bench documents. *)
+(** Schema tag ["coincidence.bench/1"] carried by the B1
+    microbenchmark documents of [bench/main.exe --json]:
+    [{"schema", "provenance", "rows": [{"table": "b1", "name",
+    "ns_per_op"}]}].  [coincidence obs --load] accepts this schema
+    alongside the metrics, ledger and counterexample ones. *)
 
 val write_jsonl : out_channel -> Json.t list -> unit
 (** Each value on its own line (the emitter never embeds newlines),
@@ -80,30 +80,6 @@ val write_chrome : out_channel -> ((Json.t list -> unit) -> 'a) -> 'a
 val chrome_to_string : Json.t list -> string
 (** The document {!write_chrome} writes for [events], without the
     newline. *)
-
-(** {2 Bench comparison}
-
-    Diff two {!bench_schema} documents by their comparable rows — the
-    [b1] microbenchmark rows plus the [sim] table's engine throughput
-    rows (as ["sim/<protocol>"] pseudo-benchmarks) — the regression gate
-    behind [bench --compare]. *)
-
-type bench_delta = {
-  cmp_name : string;
-  cmp_old : float;   (** ns/op in the baseline document. *)
-  cmp_new : float;
-  cmp_ratio : float; (** new / old; [infinity] when old is 0. *)
-  cmp_regressed : bool;  (** new > old * (1 + threshold). *)
-}
-
-val bench_compare :
-  threshold:float -> Json.t -> Json.t -> (bench_delta list, string) result
-(** [bench_compare ~threshold old new] pairs the comparable rows of the
-    two documents by benchmark name (sorted; rows only in one document
-    are skipped) and marks a row regressed when its cost grew by more
-    than the relative [threshold] (e.g. [0.25] = 25%).  [Error] on
-    schema mismatch or when either document has no comparable rows.
-    @raise Invalid_argument on a negative or non-finite threshold. *)
 
 (** {2 Ledger documents} *)
 

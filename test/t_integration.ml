@@ -48,35 +48,19 @@ let test_cheating_adversary_biases_coin () =
   let n = 24 and f = 3 in
   let kr = Vrf.Keyring.create ~backend:Vrf.Mock ~n ~seed:"cheat" () in
   let target_bit = 0 in
-  (* Omniscient content-adaptive attack: look at the round's VRF draws,
-     pick the (up to f) holders of the smallest values whose LSB is
-     target_bit, and stall everything they send.  The n-f thresholds then
+  (* Omniscient content-adaptive attack (Attacks.coin_cheaters): look at
+     the round's VRF draws and crash the (up to f) holders of the
+     smallest values whose LSB is target_bit.  The n-f thresholds then
      exclude exactly those values, so the visible minimum almost always
      has LSB 1 (failure requires > f LSB-0 values below the smallest
      LSB-1 value, probability 2^-(f+1)). *)
-  let victims_for seed round =
-    let instance = Printf.sprintf "coin-%d" seed in
-    let alpha = Printf.sprintf "%s/coin/%d" instance round in
-    let draws =
-      List.init n (fun pid -> (pid, (Vrf.Keyring.prove kr pid alpha).Vrf.beta))
-    in
-    let sorted = List.sort (fun (_, a) (_, b) -> Vrf.compare_beta a b) draws in
-    let rec pick acc = function
-      | [] -> acc
-      | (pid, beta) :: rest ->
-          if List.length acc >= f then acc
-          else if Vrf.beta_lsb beta = target_bit then pick (pid :: acc) rest
-          else acc (* stop at the first LSB-1 value: smaller ones decide *)
-    in
-    pick [] sorted
-  in
   let biased = ref 0 in
   let trials = 30 in
   for seed = 1 to trials do
     (* Corrupt (crash) the victims before they send anything: this uses
        VRF contents the delayed-adaptive adversary is not allowed to see,
        which is exactly the point of the ablation. *)
-    let victims = victims_for seed seed in
+    let victims = Attacks.coin_cheaters ~keyring:kr ~f ~seed ~round:seed in
     let o = Runner.run_shared_coin ~pre_corrupt:victims ~keyring:kr ~n ~f ~round:seed ~seed () in
     match o.Runner.unanimous with
     | Some b when b <> target_bit -> incr biased

@@ -667,58 +667,6 @@ let test_sharded_merge_equals_direct () =
     (Obs.Json.to_string (Obs.Metrics.to_json direct))
     (Obs.Json.to_string (Obs.Metrics.to_json (Obs.Metrics.Sharded.merged s)))
 
-(* --------------------------- bench compare --------------------------- *)
-
-let bench_doc rows =
-  let open Obs.Json in
-  Obj
-    [
-      ("schema", Str Obs.Export.bench_schema);
-      ( "rows",
-        List
-          (List.map
-             (fun (table, name, ns) ->
-               Obj [ ("table", Str table); ("name", Str name); ("ns_per_op", Float ns) ])
-             rows) );
-    ]
-
-let test_bench_compare () =
-  let old_doc =
-    bench_doc [ ("b1", "sha", 100.0); ("b1", "vrf", 200.0); ("scaling", "ignored", 1.0) ]
-  in
-  let new_doc =
-    bench_doc [ ("b1", "sha", 110.0); ("b1", "vrf", 300.0); ("b1", "extra", 5.0) ]
-  in
-  match Obs.Export.bench_compare ~threshold:0.25 old_doc new_doc with
-  | Error e -> Alcotest.failf "compare failed: %s" e
-  | Ok deltas ->
-      (* rows are paired by name; rows present on only one side skipped *)
-      Alcotest.(check (list string)) "paired rows" [ "sha"; "vrf" ]
-        (List.map (fun d -> d.Obs.Export.cmp_name) deltas);
-      let sha = List.nth deltas 0 and vrf = List.nth deltas 1 in
-      Alcotest.(check bool) "+10% under 25% threshold" false sha.Obs.Export.cmp_regressed;
-      Alcotest.(check bool) "+50% over 25% threshold" true vrf.Obs.Export.cmp_regressed;
-      Alcotest.(check (float 1e-9)) "ratio" 1.5 vrf.Obs.Export.cmp_ratio
-
-let test_bench_compare_errors () =
-  let ok = bench_doc [ ("b1", "sha", 100.0) ] in
-  let expect_error what old_doc new_doc =
-    match Obs.Export.bench_compare ~threshold:0.25 old_doc new_doc with
-    | Ok _ -> Alcotest.failf "%s: expected Error" what
-    | Error _ -> ()
-  in
-  expect_error "old wrong schema" (Obs.Json.Obj [ ("schema", Obs.Json.Str "x") ]) ok;
-  expect_error "new missing schema" ok (Obs.Json.Obj []);
-  expect_error "old without b1 rows" (bench_doc [ ("scaling", "s", 1.0) ]) ok;
-  expect_error "new without b1 rows" ok (bench_doc []);
-  List.iter
-    (fun threshold ->
-      Alcotest.check_raises
-        (Printf.sprintf "threshold %f rejected" threshold)
-        (Invalid_argument "Export.bench_compare: threshold must be finite and >= 0")
-        (fun () -> ignore (Obs.Export.bench_compare ~threshold ok ok)))
-    [ -0.1; Float.nan; Float.infinity ]
-
 (* ------------------------- per-worker tracks ------------------------- *)
 
 let test_chrome_worker_tracks () =
@@ -776,7 +724,5 @@ let suite =
     Alcotest.test_case "export allocation per event" `Quick test_export_alloc_per_event;
     Alcotest.test_case "sharded claim guard" `Quick test_sharded_claims;
     Alcotest.test_case "sharded merge equals direct" `Quick test_sharded_merge_equals_direct;
-    Alcotest.test_case "bench compare deltas" `Quick test_bench_compare;
-    Alcotest.test_case "bench compare errors" `Quick test_bench_compare_errors;
     Alcotest.test_case "chrome per-worker tracks" `Quick test_chrome_worker_tracks;
   ]
